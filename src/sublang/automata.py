@@ -171,22 +171,35 @@ def is_empty_language(d: Dfa) -> bool:
     return not (reachable_states(d) & d.accepting)
 
 
-def shortest_word(d: Dfa) -> str | None:
-    """Length-lex minimal accepted word, or None for the empty language."""
-    if d.start in d.accepting:
+def least_word(symbols, starts, succ, is_target) -> str | None:
+    """Length-lex least word leading from some start node to a target node.
+
+    The graph is implicit: `succ(node, i)` yields the nodes that `symbols[i]`
+    leads to from `node`.  The frontier holds one group of newly reached
+    nodes per word, in length-lex word order, so every node is first reached
+    by its least word even when several nodes share one (a plain node queue
+    loses that order as soon as there are several starts or branching
+    moves).  None when no target is reachable.
+    """
+    seen = set(starts)
+    if any(is_target(n) for n in seen):
         return ""
-    seen = {d.start}
-    queue = deque([(d.start, "")])
-    while queue:
-        q, w = queue.popleft()
-        for i, a in enumerate(d.alphabet):
-            t = d.transitions[q][i]
-            if t in seen:
-                continue
-            if t in d.accepting:
-                return w + a
-            seen.add(t)
-            queue.append((t, w + a))
+    frontier = [("", list(seen))]
+    while frontier:
+        nxt = []
+        for word, nodes in frontier:
+            for i, a in enumerate(symbols):
+                group = []
+                for n in nodes:
+                    for t in succ(n, i):
+                        if t not in seen:
+                            if is_target(t):
+                                return word + a
+                            seen.add(t)
+                            group.append(t)
+                if group:
+                    nxt.append((word + a, group))
+        frontier = nxt
     return None
 
 
@@ -321,25 +334,14 @@ class EquivalenceResult:
 def are_equivalent(l1: Dfa, l2: Dfa) -> EquivalenceResult:
     """Language equality, with a shortest (then lex-least) witness on failure."""
     _require_same_alphabet(l1, l2)
-    start = (l1.start, l2.start)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        if (p in l1.accepting) != (q in l2.accepting):
-            parts: list[str] = []
-            cur: tuple[int, int] | None = pair
-            while parent[cur] is not None:  # type: ignore[index]
-                cur, sym = parent[cur]  # type: ignore[misc,index]
-                parts.append(sym)
-            return EquivalenceResult(False, "".join(reversed(parts)))
-        for i, a in enumerate(l1.alphabet):
-            t = (l1.transitions[p][i], l2.transitions[q][i])
-            if t not in parent:
-                parent[t] = (pair, a)
-                queue.append(t)
-    return EquivalenceResult(True, None)
+    t1, t2 = l1.transitions, l2.transitions
+    witness = least_word(
+        l1.alphabet.symbols,
+        [(l1.start, l2.start)],
+        lambda pair, i: ((t1[pair[0]][i], t2[pair[1]][i]),),
+        lambda pair: (pair[0] in l1.accepting) != (pair[1] in l2.accepting),
+    )
+    return EquivalenceResult(witness is None, witness)
 
 
 def enumerate_upto(d: Dfa, n: int) -> list[str]:
@@ -438,36 +440,14 @@ def find_pump(d: Dfa) -> tuple[str, str, str] | None:
         cur, a = edge_to[cur]
         parts.append(a)
     v = "".join(reversed(parts))
-    u = _bfs_word(d, {d.start}, {q_cycle})
-    w = _bfs_word(d, {q_cycle}, set(d.accepting))
+
+    def step(q: int, i: int) -> tuple[int]:
+        return (d.transitions[q][i],)
+
+    u = least_word(d.alphabet.symbols, [d.start], step, lambda q: q == q_cycle)
+    w = least_word(d.alphabet.symbols, [q_cycle], step, lambda q: q in d.accepting)
     assert u is not None and w is not None
     return (u, v, w)
-
-
-def _bfs_word(d: Dfa, sources: set[int], targets: set[int]) -> str | None:
-    for q in sources:
-        if q in targets:
-            return ""
-    parent: dict[int, tuple[int, str]] = {}
-    seen = set(sources)
-    queue = deque(sources)
-    while queue:
-        q = queue.popleft()
-        for i, a in enumerate(d.alphabet):
-            t = d.transitions[q][i]
-            if t in seen:
-                continue
-            parent[t] = (q, a)
-            if t in targets:
-                parts = [a]
-                cur = q
-                while cur not in sources:
-                    cur, b = parent[cur]
-                    parts.append(b)
-                return "".join(reversed(parts))
-            seen.add(t)
-            queue.append(t)
-    return None
 
 
 def longest_accepted_length(d: Dfa) -> int | None:
@@ -550,8 +530,8 @@ def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple
 class Nfa:
     """Mutable NFA builder with epsilon moves; determinize() yields a Dfa.
 
-    Used as scaffolding for regex compilation and for the closure
-    constructions (suffixes, rotations, adjacent transpositions).
+    Used as scaffolding for regex compilation, finite word sets and the
+    reference automaton of a definite language.
     """
 
     def __init__(self, alphabet: Alphabet):

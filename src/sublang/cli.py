@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .automata import Alphabet, InputError, enumerate_upto
-from .families import classify
+from .families import classify, definite_to_slt
 from .formats import (
     parse_dfa_file,
     parse_grammar_file,
@@ -143,8 +143,6 @@ def _cmd_convert(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     if alphabet is None:
         raise InputError("convert needs --alphabet")
-    from .families import definite_to_slt
-
     ds, de = (_parse_word_list(t) for t in args.definite)
     rep = definite_to_slt(ds, de, alphabet)
     text = render_slt(rep)

@@ -21,31 +21,34 @@ from .automata import (
     Nfa,
     are_equivalent,
     complement,
-    difference,
     find_pump,
-    is_empty_language,
+    least_word,
     minimize,
     reachable_states,
-    shortest_word,
     universe_dfa,
 )
 from .regexes import RegexAst, is_union_free, render_regex
-from .slt import SltRep, default_k_max, is_slt_k, make_rep
+from .slt import SltRep, default_k_max, is_slt_k, make_rep, slt_to_dfa
 
-FAMILY_BASE_ORDER = (
-    "FIN",
-    "MON",
-    "NIL",
-    "COMB",
-    "DEF",
-    "SUF",
-    "ORD",
-    "COMM",
-    "CIRC",
-    "NC",
-    "PS",
-    "UF",
-)
+# Family tag -> name of its decision procedure in this module, in report
+# order.  The name is resolved when the family is decided, so a rebinding
+# of the module-level function (a tracing wrapper, say) takes effect.
+FAMILY_PROCEDURES = {
+    "FIN": "is_finite",
+    "MON": "is_monoidal",
+    "NIL": "is_nilpotent",
+    "COMB": "is_combinational",
+    "DEF": "is_definite",
+    "SUF": "is_suffix_closed",
+    "ORD": "is_orderable",
+    "COMM": "is_commutative",
+    "CIRC": "is_circular",
+    "NC": "is_noncounting",
+    "PS": "is_power_separating",
+}
+_MONOID_FAMILIES = frozenset({"ORD", "NC", "PS"})
+# UF is certified from a source expression alone, so it has no procedure
+FAMILY_BASE_ORDER = (*FAMILY_PROCEDURES, "UF")
 
 
 @dataclass(frozen=True)
@@ -212,8 +215,6 @@ def definite_to_slt(
     rep = make_rep(k, alphabet, full, full, ends, short)
 
     # internal soundness check against an independent automaton
-    from .slt import slt_to_dfa
-
     ref = _definite_dfa(ds, de, alphabet)
     eq = are_equivalent(slt_to_dfa(rep), ref)
     if not eq.equal:  # pragma: no cover - construction is proven exact
@@ -247,52 +248,58 @@ def _definite_dfa(ds: frozenset[str], de: frozenset[str], alphabet: Alphabet) ->
 
 
 # ---------------------------------------------------------------------------
-# suffix-closed / commutative / circular (closure inclusion tests)
-
-
-def _inclusion_witness(closure: Dfa, d: Dfa) -> str | None:
-    """Shortest word in closure \\ L, or None when closure <= L."""
-    diff = difference(closure, d)
-    if is_empty_language(diff):
-        return None
-    return shortest_word(diff)
+# suffix-closed / commutative / circular: a walk on the DFA paired with
+# itself finds the least word in the closure of L but not in L
 
 
 def is_suffix_closed(d: Dfa) -> Verdict:
-    nfa = Nfa(d.alphabet)
-    for _ in range(d.n_states):
-        nfa.add_state()
-    for q in range(d.n_states):
-        for i, a in enumerate(d.alphabet):
-            nfa.add_edge(q, a, d.transitions[q][i])
-    nfa.starts = set(reachable_states(d))
-    nfa.accepting = set(d.accepting)
-    witness = _inclusion_witness(nfa.determinize(), d)
+    """L is suffix-closed iff the language of every reachable state is
+    contained in the language of the start state."""
+    trans, acc = d.transitions, d.accepting
+    witness = least_word(
+        d.alphabet.symbols,
+        [(q, d.start) for q in reachable_states(d)],
+        lambda pair, i: ((trans[pair[0]][i], trans[pair[1]][i]),),
+        lambda pair: pair[0] in acc and pair[1] not in acc,
+    )
     if witness is None:
         return _yes()
     return _no(f"suffix {_fmt(witness)} of an accepted word is rejected", payload=witness)
 
 
 def is_commutative(d: Dfa) -> Verdict:
-    """Closure under adjacent transpositions, one letter pair at a time."""
-    for a, b in itertools.permutations(d.alphabet.symbols, 2):
-        nfa = Nfa(d.alphabet)
-        pre = [nfa.add_state() for _ in range(d.n_states)]
-        post = [nfa.add_state() for _ in range(d.n_states)]
-        mid = [nfa.add_state() for _ in range(d.n_states)]
-        for q in range(d.n_states):
-            for i, c in enumerate(d.alphabet):
-                nfa.add_edge(pre[q], c, pre[d.transitions[q][i]])
-                nfa.add_edge(post[q], c, post[d.transitions[q][i]])
-            # guess: the original word read `a b` where this word shows `b a`
-            target = d.step(d.step(q, a), b)
-            nfa.add_edge(pre[q], b, mid[target])
-            nfa.add_edge(mid[target], a, post[target])
-        nfa.starts = {pre[d.start]}
-        nfa.accepting = {post[q] for q in d.accepting}
-        witness = _inclusion_witness(nfa.determinize(), d)
+    """L is commutative iff u ba v is in L whenever u ab v is, for every
+    ordered letter pair (a, b)."""
+    trans, acc, symbols = d.transitions, d.accepting, d.alphabet.symbols
+    for ia, ib in itertools.permutations(range(len(symbols)), 2):
+        # node (phase, x, y): x runs the source word u ab v, y the word
+        # u ba v; phase 0 is inside u, 1 between b and a, 2 inside v
+        def succ(node: tuple[int, int, int], i: int) -> list[tuple[int, int, int]]:
+            phase, x, y = node
+            if phase == 0:
+                out = [(0, trans[x][i], trans[y][i])]
+                if i == ib:
+                    out.append((1, trans[trans[x][ia]][ib], trans[y][i]))
+                return out
+            if phase == 1:
+                return [(2, x, trans[y][i])] if i == ia else []
+            return [(2, trans[x][i], trans[y][i])]
+
+        witness = least_word(
+            symbols,
+            [(0, d.start, d.start)],
+            succ,
+            lambda node: node[0] == 2 and node[1] in acc and node[2] not in acc,
+        )
         if witness is not None:
-            source = _unswap(witness, a, b, d)
+            a, b = symbols[ia], symbols[ib]
+            # the leftmost `ba` -> `ab` swap of the witness that is accepted
+            swaps = (
+                witness[:j] + a + b + witness[j + 2 :]
+                for j in range(len(witness) - 1)
+                if witness[j : j + 2] == b + a
+            )
+            source = next(s for s in swaps if d.accepts(s))
             return _no(
                 f"swap of {_fmt(source)} gives {_fmt(witness)} which is rejected",
                 payload=(source, witness),
@@ -300,29 +307,27 @@ def is_commutative(d: Dfa) -> Verdict:
     return _yes()
 
 
-def _unswap(word: str, a: str, b: str, d: Dfa) -> str:
-    for i in range(len(word) - 1):
-        if word[i] == b and word[i + 1] == a:
-            cand = word[:i] + a + b + word[i + 2 :]
-            if d.accepts(cand):
-                return cand
-    return word  # pragma: no cover
-
-
 def is_circular(d: Dfa) -> Verdict:
-    """Closure under single rotations a.v -> v.a."""
-    nfa = Nfa(d.alphabet)
-    end = nfa.add_state()
-    nfa.accepting = {end}
-    for a in d.alphabet:
-        states = [nfa.add_state() for _ in range(d.n_states)]
-        for q in range(d.n_states):
-            for i, c in enumerate(d.alphabet):
-                nfa.add_edge(states[q], c, states[d.transitions[q][i]])
-            if q in d.accepting:
-                nfa.add_edge(states[q], a, end)
-        nfa.starts.add(states[d.step(d.start, a)])
-    witness = _inclusion_witness(nfa.determinize(), d)
+    """L is circular iff v a is in L whenever a v is, for every letter a."""
+    trans, acc, symbols = d.transitions, d.accepting, d.alphabet.symbols
+
+    # node (i, x, y): x runs a_i v, y runs v; (None, None, y) has read the
+    # rotated-out a_i as well, after a_i v was accepted
+    def succ(node: tuple, j: int) -> list[tuple]:
+        i, x, y = node
+        if i is None:
+            return []
+        out = [(i, trans[x][j], trans[y][j])]
+        if j == i and x in acc:
+            out.append((None, None, trans[y][j]))
+        return out
+
+    witness = least_word(
+        symbols,
+        [(i, trans[d.start][i], d.start) for i in range(len(symbols))],
+        succ,
+        lambda node: node[0] is None and node[2] not in acc,
+    )
     if witness is None:
         return _yes()
     source = witness[-1] + witness[:-1]
@@ -462,7 +467,7 @@ def _cover_to_dfa(dm: Dfa, labels: tuple[int, ...]) -> Dfa:
 _COVER_NODE_BUDGET = 400_000
 
 
-def is_orderable(d: Dfa, max_states: int | None = None) -> Verdict:
+def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     """Is the language accepted by some DFA whose states carry a total
     order made monotone by every letter?
 
@@ -477,14 +482,14 @@ def is_orderable(d: Dfa, max_states: int | None = None) -> Verdict:
     failed search is reported as a bounded unknown.
     """
     dm = d if d.minimal else minimize(d)
-    nc = is_noncounting(dm)
+    nc = is_noncounting(dm, monoid)
     if nc.value == "no":
         return _no(
             f"not star-free ({nc.evidence}); ordered automata are aperiodic",
             payload=nc.payload,
         )
     n = dm.n_states
-    budget = max_states if max_states is not None else max(n, 2 * len(dm.alphabet) + 3)
+    budget = max(n, 2 * len(dm.alphabet) + 3)
     nodes = [_COVER_NODE_BUDGET]
     for length in range(n, budget + 1):
         labels = _find_monotone_cover(dm, length, nodes)
@@ -622,6 +627,15 @@ def is_union_free_syntactic(ast: RegexAst) -> bool:
 # classification report
 
 
+def decide_family(tag: str, d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
+    """Verdict of the family `tag`; `monoid`, the transition monoid of the
+    minimal automaton, is shared by the procedures that need it."""
+    procedure = globals()[FAMILY_PROCEDURES[tag]]
+    if tag in _MONOID_FAMILIES:
+        return procedure(d, monoid)
+    return procedure(d)
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     alphabet: Alphabet
@@ -664,19 +678,7 @@ def classify(
     dm = minimize(d)
     monoid = TransitionMonoid.from_dfa(dm)
 
-    verdicts: dict[str, Verdict] = {
-        "FIN": is_finite(dm),
-        "MON": is_monoidal(dm),
-        "NIL": is_nilpotent(dm),
-        "COMB": is_combinational(dm),
-        "DEF": is_definite(dm),
-        "SUF": is_suffix_closed(dm),
-        "ORD": is_orderable(dm),
-        "COMM": is_commutative(dm),
-        "CIRC": is_circular(dm),
-        "NC": is_noncounting(dm, monoid),
-        "PS": is_power_separating(dm, monoid),
-    }
+    verdicts = {tag: decide_family(tag, dm, monoid) for tag in FAMILY_PROCEDURES}
     if source_expr is not None and is_union_free_syntactic(source_expr):
         verdicts["UF"] = _yes(f"union-free expression: {render_regex(source_expr)}")
     else:

@@ -21,8 +21,9 @@ from .automata import (
     longest_accepted_length,
     minimize,
 )
-from .regexes import RegexAst, compile_regex
-from .slt import SltRep, slt_to_dfa
+from .families import FAMILY_PROCEDURES, decide_family, is_union_free_syntactic
+from .regexes import RegexAst, compile_regex, parse_regex
+from .slt import SltRep, infer_slt, is_slt_k, slt_to_dfa
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,6 @@ class LanguageHandle:
 
     @classmethod
     def from_regex(cls, expr: RegexAst | str, alphabet: Alphabet | None = None) -> "LanguageHandle":
-        from .regexes import parse_regex
-
         ast = parse_regex(expr) if isinstance(expr, str) else expr
         dfa = compile_regex(ast, alphabet)
         return cls(dfa.alphabet, dfa, ast, longest_accepted_length(dfa))
@@ -140,26 +139,10 @@ def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
 
 
 def _check_declared_family(handle: LanguageHandle, family: str) -> tuple[str, str] | None:
-    from . import families as fam
-    from .slt import infer_slt, is_slt_k
-
     d = handle.dfa
     family = family.upper()
-    checks = {
-        "FIN": fam.is_finite,
-        "MON": fam.is_monoidal,
-        "NIL": fam.is_nilpotent,
-        "COMB": fam.is_combinational,
-        "DEF": fam.is_definite,
-        "SUF": fam.is_suffix_closed,
-        "ORD": fam.is_orderable,
-        "COMM": fam.is_commutative,
-        "CIRC": fam.is_circular,
-        "NC": fam.is_noncounting,
-        "PS": fam.is_power_separating,
-    }
-    if family in checks:
-        verdict = checks[family](d)
+    if family in FAMILY_PROCEDURES:
+        verdict = decide_family(family, d)
         if verdict.value == "no":
             return ("error", f"selector fails the declared family {family}: {verdict.render()}")
         if verdict.value == "unknown":
@@ -183,7 +166,7 @@ def _check_declared_family(handle: LanguageHandle, family: str) -> tuple[str, st
         return None
     if family == "UF":
         if isinstance(handle.source, RegexAst):
-            if fam.is_union_free_syntactic(handle.source):
+            if is_union_free_syntactic(handle.source):
                 return None
             return ("error", "selector expression contains a union")
         return ("warning", "union-freeness cannot be certified without an expression")

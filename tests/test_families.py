@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import all_words, random_dfa
 
 from sublang.automata import (
     Alphabet,
+    Dfa,
     InputError,
     are_equivalent,
     complement,
@@ -35,6 +37,7 @@ from sublang.slt import slt_to_dfa
 from sublang.witnesses import ic35_table_dfa
 
 AB = Alphabet.of("ab")
+ABC = Alphabet.of("abc")
 
 
 def test_is_finite():
@@ -113,6 +116,10 @@ def test_is_suffix_closed():
     v2 = is_suffix_closed(compile_regex("ab|b", AB))
     assert v2.value == "no" and v2.payload == ""
     assert is_suffix_closed(compile_regex("(a|b)*", AB)).value == "yes"
+    # many start pairs share each word: "c" is reached first by a FIFO
+    # queue of pairs, but "b" is the least rejected suffix
+    d = Dfa(ABC, 3, 0, frozenset({0}), ((0, 1, 2), (2, 1, 0), (0, 0, 0)))
+    assert is_suffix_closed(d).payload == "b"
 
 
 def test_verify_order_published_table():
@@ -187,6 +194,25 @@ def test_is_circular():
     assert v.value == "no" and v.payload == ("ab", "ba")
     even_a = compile_regex("(b|ab*a)*", AB)
     assert is_circular(even_a).value == "yes"
+    # two walks (one per rotated-out letter) meet on shared words
+    d = Dfa(AB, 6, 0, frozenset({3, 5}), ((1, 2), (3, 4), (1, 3), (1, 1), (5, 5), (5, 3)))
+    assert is_circular(d).payload == ("baa", "aab")
+
+
+def test_closure_families_are_fast_on_a_large_dfa():
+    """SUF, COMM and CIRC walk the DFA instead of determinizing a closure
+    NFA, so a random 23-state three-letter DFA takes milliseconds (subset
+    construction took seconds on it)."""
+    rng = random.Random(0)
+    n = 24
+    trans = tuple(tuple(rng.randrange(n) for _ in "abc") for _ in range(n))
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+    d = minimize(Dfa(ABC, n, 0, accepting, trans))
+    assert d.n_states >= 22
+    t0 = time.perf_counter()
+    verdicts = [is_suffix_closed(d), is_commutative(d), is_circular(d)]
+    assert time.perf_counter() - t0 < 0.5
+    assert [v.value for v in verdicts] == ["no", "no", "no"]
 
 
 def test_is_noncounting():

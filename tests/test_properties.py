@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_accepted
+import closure_reference
+from conftest import all_words, brute_accepted
 
 from sublang.automata import (
     Alphabet,
@@ -15,6 +16,7 @@ from sublang.automata import (
     minimize,
     union,
 )
+from sublang.families import is_circular, is_commutative, is_suffix_closed
 from sublang.slt import canonical_rep, slt_membership, slt_to_dfa
 
 AB = Alphabet.of("ab")
@@ -23,16 +25,16 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def dfas(draw, max_states: int = 4):
+def dfas(draw, max_states: int = 4, alphabet: Alphabet = AB):
     n = draw(st.integers(1, max_states))
     trans = tuple(
-        tuple(draw(st.integers(0, n - 1)) for _ in AB.symbols) for _ in range(n)
+        tuple(draw(st.integers(0, n - 1)) for _ in alphabet.symbols) for _ in range(n)
     )
     accepting = frozenset(
         q for q in range(n) if draw(st.booleans())
     )
     start = draw(st.integers(0, n - 1))
-    return Dfa(AB, n, start, accepting, trans)
+    return Dfa(alphabet, n, start, accepting, trans)
 
 
 @SETTINGS
@@ -58,6 +60,18 @@ def test_equivalence_agrees_with_bounded_enumeration(d1, d2):
     assert res.equal == (enumerate_upto(d1, bound) == enumerate_upto(d2, bound))
     if not res.equal:
         assert d1.accepts(res.witness) != d2.accepts(res.witness)
+        assert res.witness == next(w for w in all_words("ab", len(res.witness)) if d1.accepts(w) != d2.accepts(w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(dfas(6), dfas(6, Alphabet.of("abc"))))
+def test_closure_walks_agree_with_nfa_reference(d):
+    """SUF, COMM and CIRC give the verdict, evidence and payload of the
+    subset-construction routes they replaced, on raw and minimal DFAs."""
+    for dfa in (d, minimize(d)):
+        assert is_suffix_closed(dfa) == closure_reference.is_suffix_closed(dfa)
+        assert is_commutative(dfa) == closure_reference.is_commutative(dfa)
+        assert is_circular(dfa) == closure_reference.is_circular(dfa)
 
 
 @SETTINGS
