@@ -459,21 +459,22 @@ def longest_accepted_length(d: Dfa) -> int | None:
         return -1
     if find_pump(d) is not None:
         return None
-    # DAG longest path from start to an accepting state, over trim states.
-    memo: dict[int, int] = {}
-
-    def longest(q: int) -> int:
-        if q in memo:
-            return memo[q]
-        best = 0 if q in d.accepting else -(1 << 30)
-        memo[q] = -(1 << 30)  # placeholder; trim part is acyclic
-        for t in d.transitions[q]:
-            if t in trim:
-                best = max(best, 1 + longest(t))
-        memo[q] = best
-        return best
-
-    return longest(d.start)
+    # The trim part is acyclic: longest path to acceptance, successors first.
+    longest: dict[int, int] = {}
+    stack = [d.start]
+    while stack:
+        q = stack[-1]
+        if q in longest:
+            stack.pop()
+            continue
+        succ = [t for t in d.transitions[q] if t in trim]
+        todo = [t for t in succ if t not in longest]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        longest[q] = max((1 + longest[t] for t in succ), default=0)
+    return longest[d.start]
 
 
 def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:

@@ -10,7 +10,6 @@ exists.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
@@ -382,60 +381,72 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     labels embeds into the chain as a monotone (non-decreasing) position
     map; leftmost-greedy matching decides that and is restored on
     backtracking.  Returns the labeling or None.
+
+    Per letter the search keeps `last`, the position the next image label
+    is matched from, and the pending image labels not yet matched, with
+    repeats collapsed (equal neighbours always match at one position), so
+    the pending queue's length is the number of chain positions it still
+    needs.  Invariant: the head of a non-empty pending queue occurs
+    nowhere in labels[last:], so a new label z can only match that head,
+    and only when z equals it.
+
+    The labels tried, their order and each decrement of `node_budget` are
+    part of the output contract: a search that runs out of budget is
+    reported as a bounded unknown, so a change to either changes verdicts.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
     trans = dm.transitions
     labels: list[int] = []
-    # per letter: (last matched position, pending unmatched image labels)
-    pend: list[tuple[int, tuple[int, ...]]] = [(-1, ()) for _ in range(n_sym)]
-
-    def collapsed_len(seq: tuple[int, ...]) -> int:
-        count = 0
-        prev = None
-        for x in seq:
-            if x != prev:
-                count += 1
-                prev = x
-        return count
+    uses = [0] * n  # occurrences of each label in `labels`
+    distinct = 0
+    # per letter: (match-from position, pending image labels, collapsed)
+    pend: list[tuple[int, tuple[int, ...]]] = [(0, ()) for _ in range(n_sym)]
 
     def place(depth: int) -> bool:
+        nonlocal distinct
         if node_budget[0] <= 0:
             return False
         if depth == length:
-            return all(not p for _, p in pend) and len(set(labels)) == n
-        missing = n - len(set(labels))
-        if missing > length - depth:
+            return distinct == n and not any(queue for _, queue in pend)
+        if n - distinct > length - depth:
             return False
+        room = length - depth - 1
         for z in range(n):
             node_budget[0] -= 1
             labels.append(z)
-            saved = list(pend)
+            uses[z] += 1
+            if uses[z] == 1:
+                distinct += 1
+            saved = pend[:]
+            row = trans[z]
             ok = True
             for i in range(n_sym):
                 last, queue = pend[i]
-                queue = queue + (trans[z][i],)
-                # leftmost-greedy matching of pending image labels into
-                # the labeled prefix, resuming at `last`
-                while queue:
-                    want = queue[0]
-                    pos = last if last >= 0 and labels[last] == want else -1
-                    if pos < 0:
-                        for p in range(last + 1, depth + 1):
-                            if labels[p] == want:
-                                pos = p
-                                break
-                    if pos < 0:
-                        break
-                    last = pos
-                    queue = queue[1:]
-                if collapsed_len(queue) > length - depth - 1:
+                x = row[i]
+                if queue:
+                    if queue[-1] != x:
+                        queue += (x,)
+                    # by the invariant, only the new label can match the head
+                    if queue[0] == z:
+                        last = depth
+                        queue = queue[1:]
+                else:
+                    # leftmost-greedy: the first x at or after `last`
+                    try:
+                        last = labels.index(x, last)
+                    except ValueError:
+                        queue = (x,)
+                if len(queue) > room:
                     ok = False
                     break
                 pend[i] = (last, queue)
             if ok and place(depth + 1):
                 return True
             labels.pop()
+            uses[z] -= 1
+            if uses[z] == 0:
+                distinct -= 1
             pend[:] = saved
         return False
 
@@ -527,43 +538,44 @@ _MONOID_CAP = 1 << 15
 class TransitionMonoid:
     """State transformations of a DFA, closed under composition.
 
-    `elements[i]` maps state q to the state reached by reading `words[i]`.
+    Each transformation is a string with one character per state:
+    `elements[i][q]` is `chr` of the state reached from q by reading
+    `words[i]`, so composing with a letter is one `str.translate`.
     Contains the identity (empty word); generator words are shortest-lex.
     """
 
     dfa: Dfa
-    elements: list[tuple[int, ...]]
+    elements: list[str]
     words: list[str]
 
     @classmethod
     def from_dfa(cls, d: Dfa, cap: int = _MONOID_CAP) -> "TransitionMonoid":
         n = d.n_states
-        letter = [tuple(d.transitions[q][i] for q in range(n)) for i in range(len(d.alphabet))]
-        ident = tuple(range(n))
-        index = {ident: 0}
+        letters = [
+            (a, "".join(chr(d.transitions[q][i]) for q in range(n)))
+            for i, a in enumerate(d.alphabet.symbols)
+        ]
+        ident = "".join(map(chr, range(n)))
+        seen = {ident}
         elements = [ident]
         words = [""]
-        queue = deque([0])
-        while queue:
-            e = queue.popleft()
-            base = elements[e]
-            for i, a in enumerate(d.alphabet):
-                row = letter[i]
-                t = tuple(row[base[q]] for q in range(n))
-                if t not in index:
+        # breadth first: the loop reads `elements` while appending to it
+        for e, base in enumerate(elements):
+            for a, row in letters:
+                t = base.translate(row)
+                if t not in seen:
                     if len(elements) >= cap:
                         raise InputError("transition monoid too large for desk-scale analysis")
-                    index[t] = len(elements)
+                    seen.add(t)
                     elements.append(t)
                     words.append(words[e] + a)
-                    queue.append(index[t])
         return cls(d, elements, words)
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def _power_cycle(t: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int, int]:
+def _power_cycle(t: str) -> tuple[list[str], int, int]:
     """Powers t^1, t^2, ... until repetition; returns (powers, tail, period).
 
     powers[i] is t^(i+1); t^(tail+period) == t^(tail) with 1-based
@@ -573,7 +585,7 @@ def _power_cycle(t: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int, int]:
     seen = {t: 1}
     cur = t
     while True:
-        cur = tuple(t[q] for q in cur)
+        cur = cur.translate(t)
         exp = len(powers) + 1
         if cur in seen:
             tail = seen[cur]
@@ -607,7 +619,7 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     for t, word in zip(m.elements, m.words):
         powers, tail, period = _power_cycle(t)
         verdicts = {
-            powers[e - 1][dm.start] in dm.accepting for e in range(tail, tail + period)
+            ord(powers[e - 1][dm.start]) in dm.accepting for e in range(tail, tail + period)
         }
         if len(verdicts) > 1:
             return _no(

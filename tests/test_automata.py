@@ -20,6 +20,7 @@ from sublang.automata import (
     union,
     universe_dfa,
 )
+from sublang.grammars import LanguageHandle
 from sublang.regexes import compile_regex
 
 AB = Alphabet.of("ab")
@@ -203,6 +204,16 @@ def test_longest_accepted_length():
     from sublang.regexes import Empty
 
     assert longest_accepted_length(compile_regex(Empty(), AB)) == -1
+
+
+def test_longest_accepted_length_on_a_long_chain():
+    """The walk is iterative: a 1,500-state chain is deeper than Python's
+    recursion limit."""
+    n = 1500
+    trans = tuple((min(q + 1, n - 1),) for q in range(n))
+    d = Dfa(Alphabet.of("a"), n, 0, frozenset({n - 2}), trans)
+    assert longest_accepted_length(d) == n - 2
+    assert LanguageHandle.from_dfa(d).max_word_len == n - 2
 
 
 def test_dfa_for_words_roundtrip():

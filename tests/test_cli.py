@@ -46,6 +46,39 @@ def test_classify_porcelain(capsys):
     assert "family=UF verdict=yes" in out
 
 
+# a minimal 16-state DFA over abc whose transition monoid exceeds the cap
+CAP_DFA_ROWS = (
+    (1, 2, 3),
+    (4, 0, 5),
+    (6, 2, 1),
+    (2, 7, 8),
+    (6, 9, 2),
+    (7, 6, 10),
+    (5, 10, 4),
+    (0, 5, 11),
+    (12, 11, 13),
+    (10, 1, 14),
+    (10, 6, 3),
+    (2, 6, 0),
+    (7, 5, 1),
+    (7, 12, 0),
+    (3, 15, 13),
+    (8, 7, 7),
+)
+
+
+def test_classify_reports_the_monoid_cap(capsys, tmp_path):
+    lines = ["alphabet a b c", "states 16", "start 0", "accept 2 4 5 6 9 10 13 14"]
+    for q, row in enumerate(CAP_DFA_ROWS):
+        lines.extend(f"trans {q} {a} {t}" for a, t in zip("abc", row))
+    path = tmp_path / "cap.dfa"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--porcelain", "--input", f"dfa:{path}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: transition monoid too large for desk-scale analysis\n"
+
+
 def test_verify_single_lemma(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "l-abna")
     assert code == 0

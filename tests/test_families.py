@@ -220,6 +220,27 @@ def test_is_noncounting():
     v = is_noncounting(compile_regex("(aa)*", Alphabet.of("a")))
     assert v.value == "no" and v.payload == ("a", 2)
     assert is_noncounting(compile_regex("a|ab*a", AB)).value == "yes"
+    # transformations are strings of chr(state): one state, and states
+    # beyond one byte
+    assert is_noncounting(Dfa(AB, 1, 0, frozenset({0}), ((0, 0),))).evidence == (
+        "aperiodic transition monoid (size 1)"
+    )
+    v = is_noncounting(one_letter_chain(300))
+    assert v.value == "yes" and v.payload == 300
+    v = is_noncounting(one_letter_cycle(300))
+    assert v.value == "no" and v.evidence == "word a has eventual period 300"
+
+
+def one_letter_chain(n: int) -> Dfa:
+    """a^(n-2) over {a}: a chain of n states into a sink, minimal."""
+    trans = tuple((min(q + 1, n - 1),) for q in range(n))
+    return Dfa(Alphabet.of("a"), n, 0, frozenset({n - 2}), trans)
+
+
+def one_letter_cycle(n: int) -> Dfa:
+    """(a^n)* over {a}: a cycle of n states, minimal."""
+    trans = tuple(((q + 1) % n,) for q in range(n))
+    return Dfa(Alphabet.of("a"), n, 0, frozenset({0}), trans)
 
 
 def brute_noncounting(d, k_cap=6, word_len=3) -> bool:
@@ -248,6 +269,10 @@ def test_is_power_separating():
     assert v.value == "no"
     assert v.payload[0] == "a"
     assert is_power_separating(compile_regex("a|ab*a", AB)).value == "yes"
+    v = is_power_separating(one_letter_chain(300))
+    assert v.value == "yes" and v.evidence.endswith("(monoid size 300)")
+    v = is_power_separating(one_letter_cycle(300))
+    assert v.value == "no" and v.evidence.endswith("(cycle start 1, period 300)")
 
 
 def test_is_union_free_syntactic():

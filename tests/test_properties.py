@@ -1,13 +1,16 @@
 """Property-based cross-checks of the automata algebra on random machines."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import classify_reference
 import closure_reference
 from conftest import all_words, brute_accepted
 
 from sublang.automata import (
     Alphabet,
     Dfa,
+    InputError,
     are_equivalent,
     complement,
     difference,
@@ -16,7 +19,14 @@ from sublang.automata import (
     minimize,
     union,
 )
-from sublang.families import is_circular, is_commutative, is_suffix_closed
+from sublang.families import (
+    TransitionMonoid,
+    _find_monotone_cover,
+    _power_cycle,
+    is_circular,
+    is_commutative,
+    is_suffix_closed,
+)
 from sublang.slt import canonical_rep, slt_membership, slt_to_dfa
 
 AB = Alphabet.of("ab")
@@ -72,6 +82,49 @@ def test_closure_walks_agree_with_nfa_reference(d):
         assert is_suffix_closed(dfa) == closure_reference.is_suffix_closed(dfa)
         assert is_commutative(dfa) == closure_reference.is_commutative(dfa)
         assert is_circular(dfa) == closure_reference.is_circular(dfa)
+
+
+KERNEL_DFAS = st.one_of(*(dfas(7, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(KERNEL_DFAS)
+def test_cover_search_agrees_with_reference(d):
+    """Same labels and same remaining node budget as the rescanning search,
+    for every chain length ORD tries and budgets that run out at
+    different depths."""
+    dm = minimize(d)
+    n = dm.n_states
+    for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 1):
+        for budget in (50, 500, 5000, 40000):
+            got, want = [budget], [budget]
+            assert _find_monotone_cover(dm, length, got) == classify_reference.find_monotone_cover(dm, length, want)
+            assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(KERNEL_DFAS, st.integers(1, 40))
+def test_transition_monoid_agrees_with_reference(d, cap):
+    """Same elements and words in the same breadth-first order, the same
+    power cycles, and the same cap exit, on raw and minimal DFAs."""
+    for dfa in (d, minimize(d)):
+        elements, words = classify_reference.monoid_from_dfa(dfa)
+        m = TransitionMonoid.from_dfa(dfa)
+        assert [tuple(map(ord, t)) for t in m.elements] == elements
+        assert m.words == words
+        for t, ref in zip(m.elements, elements):
+            powers, tail, period = _power_cycle(t)
+            ref_powers, ref_tail, ref_period = classify_reference.power_cycle(ref)
+            assert [tuple(map(ord, p)) for p in powers] == ref_powers
+            assert (tail, period) == (ref_tail, ref_period)
+        if len(elements) > cap:
+            with pytest.raises(InputError) as want:
+                classify_reference.monoid_from_dfa(dfa, cap)
+            with pytest.raises(InputError) as got:
+                TransitionMonoid.from_dfa(dfa, cap)
+            assert str(got.value) == str(want.value)
+        else:
+            assert len(TransitionMonoid.from_dfa(dfa, cap)) == len(elements)
 
 
 @SETTINGS
