@@ -8,7 +8,7 @@ never by codepoint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 # Hard ceiling on |V|**k style window/word spaces; beyond this the exact
@@ -25,10 +25,12 @@ class Alphabet:
     """Ordered set of single-character symbols.
 
     Declaration order is the tie-break order for every enumeration and
-    every lexicographic comparison in this package.
+    every lexicographic comparison in this package.  `order_table` maps each
+    symbol to chr(its index): `w.translate(order_table)` orders like `word_key`.
     """
 
     symbols: tuple[str, ...]
+    order_table: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for s in self.symbols:
@@ -37,6 +39,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError(f"duplicate alphabet symbols in {self.symbols!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "order_table", {ord(s): i for i, s in enumerate(self.symbols)})
 
     @classmethod
     def of(cls, symbols: Iterable[str]) -> "Alphabet":
@@ -66,7 +69,7 @@ class Alphabet:
         return (len(word), tuple(idx[c] for c in word))
 
     def sort_words(self, words: Iterable[str]) -> list[str]:
-        return sorted(words, key=self.word_key)
+        return sorted(words, key=lambda w: (len(w), w.translate(self.order_table)))
 
     def words_of_length(self, k: int) -> Iterator[str]:
         """All length-k words in lexicographic (declaration) order."""

@@ -2,14 +2,15 @@
 
 External derivation wraps a context around the whole word when the word
 belongs to a pair's selection language; internal derivation wraps it
-around any subword belonging to the selection language.  Generation is a
-breadth-first closure over non-shortening steps, so a length bound makes
-it exhaustive.
+around any subword belonging to the selection language.  One successor
+kernel yields each step as a plain tuple; generation is a closure over
+it by length layers, because every kept step strictly lengthens the
+word, so a length bound makes it exhaustive.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -213,68 +214,69 @@ class DerivationTrace:
         return w
 
 
-def _external_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
-    for p_idx, pair in enumerate(g.pairs):
-        if pair.selector.contains(word):
-            for ctx in pair.contexts:
-                if ctx.is_empty:
-                    continue  # self-loop, discarded without changing the language
-                yield ctx.left + word + ctx.right, DerivationStep(p_idx, ctx, None)
+Successor = tuple[str, int, Context, tuple[int, int] | None]  # y, pair_index, context, split
 
 
-def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
+def _successors(g: ContextualGrammar, mode: str, word: str, limit: int | None = None) -> Iterator[Successor]:
+    """Every one-step derivation of word, in (pair, split, context) order.
+
+    Empty contexts are dropped as self-loops, so every y is strictly
+    longer than word; given a limit, so are contexts that would make y
+    longer than it, and a pair with none left is not scanned.
+    """
+    if mode not in MODES:
+        raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
     n = len(word)
+    room = None if limit is None else limit - n
     for p_idx, pair in enumerate(g.pairs):
+        contexts = [c for c in pair.contexts
+                    if not c.is_empty and (room is None or len(c.left) + len(c.right) <= room)]
+        if not contexts:
+            continue
         sel = pair.selector
+        if mode == "ex":
+            if sel.contains(word):
+                for ctx in contexts:
+                    yield ctx.left + word + ctx.right, p_idx, ctx, None
+            continue
+        bound = sel.max_word_len  # -1 for the empty language: no split is tried
         dfa = sel.dfa
-        bound = sel.max_word_len
-        sym_index = dfa.alphabet._index  # type: ignore[attr-defined]
         trans = dfa.transitions
         accepting = dfa.accepting
-        contexts = [c for c in pair.contexts if not c.is_empty]
-        if not contexts or bound == -1:
-            continue
+        # None marks a foreign symbol for this selector's alphabet
+        codes = [dfa.alphabet._index.get(c) for c in word]  # type: ignore[attr-defined]
         for i in range(n + 1):
+            end = n if bound is None or i + bound > n else i + bound
             q = dfa.start
             j = i
             while True:
                 if q in accepting:
                     for ctx in contexts:
-                        yield (
-                            word[:i] + ctx.left + word[i:j] + ctx.right + word[j:],
-                            DerivationStep(p_idx, ctx, (i, j)),
-                        )
-                if j >= n or (bound is not None and j - i >= bound):
+                        yield word[:i] + ctx.left + word[i:j] + ctx.right + word[j:], p_idx, ctx, (i, j)
+                if j >= end:
                     break
-                s = sym_index.get(word[j])
+                s = codes[j]
                 if s is None:
-                    break  # foreign symbol for this selector's alphabet
+                    break
                 q = trans[q][s]
                 j += 1
 
 
-def _steps(g: ContextualGrammar, mode: str, word: str) -> Iterator[tuple[str, DerivationStep]]:
-    if mode == "ex":
-        return _external_steps(g, word)
-    if mode == "in":
-        return _internal_steps(g, word)
-    raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
-
-
 def external_successors(g: ContextualGrammar, word: str) -> set[str]:
-    return {y for y, _ in _external_steps(g, word)}
+    return {step[0] for step in _successors(g, "ex", word)}
 
 
 def internal_successors(g: ContextualGrammar, word: str) -> set[str]:
-    return {y for y, _ in _internal_steps(g, word)}
+    return {step[0] for step in _successors(g, "in", word)}
 
 
 class StepCapExceeded(RuntimeError):
     """Raised when generation exhausts its step cap; carries the partial set."""
 
-    def __init__(self, partial: list[str]):
-        super().__init__(f"step cap exhausted after {len(partial)} expansions")
+    def __init__(self, partial: list[str], expansions: int):
+        super().__init__(f"step cap exhausted after {expansions} expansions")
         self.partial = partial
+        self.expansions = expansions
 
 
 def generate_bounded(
@@ -286,51 +288,58 @@ def generate_bounded(
 ) -> list[str]:
     """Exactly the generated words of length <= max_len, sorted (length, lex).
 
-    Sound because every derivation step is length-non-decreasing, so no
-    word within the bound is ever reached only via a longer intermediate.
-    Each word is expanded at most once.
+    Every kept step strictly lengthens the word, so the closure runs by
+    length layers: a layer is complete once the shorter ones are expanded,
+    is sorted once, and its words are expanded in order, each once.
+    check_invariants checks every candidate, also those beyond max_len;
+    the membership of a selected subword is decided once per (pair, subword).
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
+    if step_cap is not None and step_cap < 0:
+        raise InputError("step_cap must be >= 0")
     if mode not in MODES:
         raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
     for w in g.axioms:
         if not g.alphabet.covers(w):
             raise InputError(f"axiom {w!r} uses symbols outside the base alphabet")
 
-    key = g.alphabet.word_key
-    seen: set[str] = set()
-    heap: list[tuple[tuple, str]] = []
-    for w in g.axioms:
-        if len(w) <= max_len and w not in seen:
-            seen.add(w)
-            heapq.heappush(heap, (key(w), w))
+    table = g.alphabet.order_table
+    seen = {w for w in g.axioms if len(w) <= max_len}
+    layers: defaultdict[int, list[str]] = defaultdict(list)
+    for w in seen:
+        layers[len(w)].append(w)
+    limit = None if check_invariants else max_len
+    selected: dict[tuple[int, str], bool] = {}
+    out: list[str] = []
     expansions = 0
-    while heap:
-        _, w = heapq.heappop(heap)
-        if step_cap is not None and expansions >= step_cap:
-            raise StepCapExceeded(g.alphabet.sort_words(seen))
-        expansions += 1
-        for y, step in _steps(g, mode, w):
-            if check_invariants:
-                _check_expansion(g, mode, w, y, step)
-            if len(y) <= max_len and y not in seen:
-                seen.add(y)
-                heapq.heappush(heap, (key(y), y))
-    return g.alphabet.sort_words(seen)
-
-
-def _check_expansion(g: ContextualGrammar, mode: str, w: str, y: str, step: DerivationStep) -> None:
-    ctx = step.context
-    if len(y) < len(w) or (len(ctx.left) + len(ctx.right) >= 1 and len(y) <= len(w)):
-        raise AssertionError(f"derivation step shortened {w!r} to {y!r}")
-    if mode == "in":
-        # re-applicability: after insertion the selected subword is intact,
-        # so the same pair must still offer a step on the result
-        i, j = step.split  # type: ignore[misc]
-        inner = y[i + len(ctx.left) : j + len(ctx.left)]
-        if not g.pairs[step.pair_index].selector.contains(inner):
-            raise AssertionError(f"inserted context destroyed the selected subword of {w!r}")
+    while layers:
+        layer = sorted(layers.pop(min(layers)), key=lambda w: w.translate(table))
+        for w in layer:
+            if step_cap is not None and expansions >= step_cap:
+                raise StepCapExceeded(g.alphabet.sort_words(seen), expansions)
+            expansions += 1
+            n = len(w)
+            for y, p_idx, ctx, split in _successors(g, mode, w, limit):
+                m = len(y)
+                if check_invariants:
+                    if m <= n:
+                        raise AssertionError(f"derivation step shortened {w!r} to {y!r}")
+                    if split is not None:
+                        # re-applicability: after insertion the selected subword
+                        # is intact, so the same pair must still select it
+                        shift = len(ctx.left)
+                        key = (p_idx, y[split[0] + shift : split[1] + shift])
+                        ok = selected.get(key)
+                        if ok is None:
+                            ok = selected[key] = g.pairs[p_idx].selector.contains(key[1])
+                        if not ok:
+                            raise AssertionError(f"inserted context destroyed the selected subword of {w!r}")
+                if m <= max_len and y not in seen:
+                    seen.add(y)
+                    layers[m].append(y)
+        out.extend(layer)
+    return out
 
 
 class NotDerivable(Exception):
@@ -357,29 +366,25 @@ def derivation_trace(
         raise NotDerivable(target, bound)
     # intermediates never exceed the target length
     limit = len(target)
-    parents: dict[str, tuple[str, DerivationStep] | None] = {}
-    frontier: list[str] = []
-    for w in g.axioms:
-        if len(w) <= limit and w not in parents:
-            parents[w] = None
-            frontier.append(w)
+    parents: dict[str, tuple[str, Successor] | None] = dict.fromkeys(w for w in g.axioms if len(w) <= limit)
+    frontier = list(parents)
     while frontier:
         if target in parents:
             break
         nxt: list[str] = []
         for w in frontier:
-            for y, step in _steps(g, mode, w):
-                if len(y) <= limit and y not in parents:
-                    parents[y] = (w, step)
-                    nxt.append(y)
+            for step in _successors(g, mode, w, limit):
+                if step[0] not in parents:
+                    parents[step[0]] = (w, step)
+                    nxt.append(step[0])
         frontier = nxt
     if target not in parents:
         raise NotDerivable(target, bound)
     steps: list[DerivationStep] = []
     cur = target
     while parents[cur] is not None:
-        cur, step = parents[cur]  # type: ignore[misc]
-        steps.append(step)
+        cur, (_, p_idx, ctx, split) = parents[cur]  # type: ignore[misc]
+        steps.append(DerivationStep(p_idx, ctx, split))
     trace = DerivationTrace(mode, cur, tuple(reversed(steps)), target)
     trace.replay(g)
     return trace
@@ -414,8 +419,7 @@ BoundedSource = object  # grammar+mode tuple, LanguageHandle, Dfa, or word colle
 def bounded_words(source: BoundedSource, max_len: int) -> list[str]:
     """Words of length <= max_len from any comparable source, sorted."""
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], ContextualGrammar):
-        g, mode = source
-        return generate_bounded(g, mode, max_len)
+        return generate_bounded(source[0], source[1], max_len)
     if isinstance(source, ContextualGrammar):
         raise InputError("a grammar source needs a mode: pass (grammar, 'ex'|'in')")
     if isinstance(source, LanguageHandle):
@@ -423,10 +427,7 @@ def bounded_words(source: BoundedSource, max_len: int) -> list[str]:
     if isinstance(source, Dfa):
         return enumerate_upto(source, max_len)
     if isinstance(source, (set, frozenset, list, tuple)):
-        words = sorted(
-            {w for w in source if len(w) <= max_len}, key=lambda w: (len(w), w)
-        )
-        return words
+        return sorted({w for w in source if len(w) <= max_len}, key=lambda w: (len(w), w))
     raise InputError(f"cannot enumerate a {type(source).__name__} source")
 
 
@@ -451,8 +452,4 @@ def compare_bounded(left: BoundedSource, right: BoundedSource, max_len: int) -> 
     rw = set(bounded_words(right, max_len))
     alpha = la or ra
     sort = alpha.sort_words if alpha else (lambda ws: sorted(ws, key=lambda w: (len(w), w)))
-    return CompareReport(
-        max_len,
-        tuple(sort(lw - rw)),
-        tuple(sort(rw - lw)),
-    )
+    return CompareReport(max_len, tuple(sort(lw - rw)), tuple(sort(rw - lw)))

@@ -1,0 +1,186 @@
+"""Reference route for grammar generation, kept as a differential oracle.
+
+This is the heap-based closure: candidates come from one generator per
+mode that builds a `DerivationStep` for each of them, words are popped in
+(length, lex) order from a heap keyed by `Alphabet.word_key`, and the
+result is sorted once more at the end.  The package generates by length
+layers over one tuple-yielding successor kernel; output lists, step-cap
+partials, derivation traces and successor sets must agree exactly.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Iterator
+
+from sublang.automata import InputError
+from sublang.grammars import (
+    MODES,
+    ContextualGrammar,
+    DerivationStep,
+    DerivationTrace,
+    NotDerivable,
+)
+
+
+def _external_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
+    for p_idx, pair in enumerate(g.pairs):
+        if pair.selector.contains(word):
+            for ctx in pair.contexts:
+                if ctx.is_empty:
+                    continue  # self-loop, discarded without changing the language
+                yield ctx.left + word + ctx.right, DerivationStep(p_idx, ctx, None)
+
+
+def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
+    n = len(word)
+    for p_idx, pair in enumerate(g.pairs):
+        sel = pair.selector
+        dfa = sel.dfa
+        bound = sel.max_word_len
+        sym_index = dfa.alphabet._index  # type: ignore[attr-defined]
+        trans = dfa.transitions
+        accepting = dfa.accepting
+        contexts = [c for c in pair.contexts if not c.is_empty]
+        if not contexts or bound == -1:
+            continue
+        for i in range(n + 1):
+            q = dfa.start
+            j = i
+            while True:
+                if q in accepting:
+                    for ctx in contexts:
+                        yield (
+                            word[:i] + ctx.left + word[i:j] + ctx.right + word[j:],
+                            DerivationStep(p_idx, ctx, (i, j)),
+                        )
+                if j >= n or (bound is not None and j - i >= bound):
+                    break
+                s = sym_index.get(word[j])
+                if s is None:
+                    break  # foreign symbol for this selector's alphabet
+                q = trans[q][s]
+                j += 1
+
+
+def _steps(g: ContextualGrammar, mode: str, word: str) -> Iterator[tuple[str, DerivationStep]]:
+    if mode == "ex":
+        return _external_steps(g, word)
+    if mode == "in":
+        return _internal_steps(g, word)
+    raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
+
+
+def external_successors(g: ContextualGrammar, word: str) -> set[str]:
+    return {y for y, _ in _external_steps(g, word)}
+
+
+def internal_successors(g: ContextualGrammar, word: str) -> set[str]:
+    return {y for y, _ in _internal_steps(g, word)}
+
+
+class StepCapExceeded(RuntimeError):
+    """Raised when generation exhausts its step cap; carries the partial set."""
+
+    def __init__(self, partial: list[str]):
+        super().__init__(f"step cap exhausted after {len(partial)} expansions")
+        self.partial = partial
+
+
+def generate_bounded(
+    g: ContextualGrammar,
+    mode: str,
+    max_len: int,
+    step_cap: int | None = None,
+    check_invariants: bool = False,
+) -> list[str]:
+    """Exactly the generated words of length <= max_len, sorted (length, lex).
+
+    Sound because every derivation step is length-non-decreasing, so no
+    word within the bound is ever reached only via a longer intermediate.
+    Each word is expanded at most once.
+    """
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    if mode not in MODES:
+        raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
+    for w in g.axioms:
+        if not g.alphabet.covers(w):
+            raise InputError(f"axiom {w!r} uses symbols outside the base alphabet")
+
+    key = g.alphabet.word_key
+    seen: set[str] = set()
+    heap: list[tuple[tuple, str]] = []
+    for w in g.axioms:
+        if len(w) <= max_len and w not in seen:
+            seen.add(w)
+            heapq.heappush(heap, (key(w), w))
+    expansions = 0
+    while heap:
+        _, w = heapq.heappop(heap)
+        if step_cap is not None and expansions >= step_cap:
+            raise StepCapExceeded(g.alphabet.sort_words(seen))
+        expansions += 1
+        for y, step in _steps(g, mode, w):
+            if check_invariants:
+                _check_expansion(g, mode, w, y, step)
+            if len(y) <= max_len and y not in seen:
+                seen.add(y)
+                heapq.heappush(heap, (key(y), y))
+    return g.alphabet.sort_words(seen)
+
+
+def _check_expansion(g: ContextualGrammar, mode: str, w: str, y: str, step: DerivationStep) -> None:
+    ctx = step.context
+    if len(y) < len(w) or (len(ctx.left) + len(ctx.right) >= 1 and len(y) <= len(w)):
+        raise AssertionError(f"derivation step shortened {w!r} to {y!r}")
+    if mode == "in":
+        # re-applicability: after insertion the selected subword is intact,
+        # so the same pair must still offer a step on the result
+        i, j = step.split  # type: ignore[misc]
+        inner = y[i + len(ctx.left) : j + len(ctx.left)]
+        if not g.pairs[step.pair_index].selector.contains(inner):
+            raise AssertionError(f"inserted context destroyed the selected subword of {w!r}")
+
+
+def derivation_trace(
+    g: ContextualGrammar, mode: str, target: str, max_len: int | None = None
+) -> DerivationTrace:
+    """A shortest-step derivation of target from some axiom.
+
+    Ties break canonically: first-found in (pair, split, context) order
+    over a breadth-first search by step count.
+    """
+    bound = len(target) if max_len is None else max_len
+    if len(target) > bound:
+        raise InputError(f"target longer than max_len={bound}")
+    if not g.alphabet.covers(target):
+        raise NotDerivable(target, bound)
+    # intermediates never exceed the target length
+    limit = len(target)
+    parents: dict[str, tuple[str, DerivationStep] | None] = {}
+    frontier: list[str] = []
+    for w in g.axioms:
+        if len(w) <= limit and w not in parents:
+            parents[w] = None
+            frontier.append(w)
+    while frontier:
+        if target in parents:
+            break
+        nxt: list[str] = []
+        for w in frontier:
+            for y, step in _steps(g, mode, w):
+                if len(y) <= limit and y not in parents:
+                    parents[y] = (w, step)
+                    nxt.append(y)
+        frontier = nxt
+    if target not in parents:
+        raise NotDerivable(target, bound)
+    steps: list[DerivationStep] = []
+    cur = target
+    while parents[cur] is not None:
+        cur, step = parents[cur]  # type: ignore[misc]
+        steps.append(step)
+    trace = DerivationTrace(mode, cur, tuple(reversed(steps)), target)
+    trace.replay(g)
+    return trace

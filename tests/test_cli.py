@@ -164,6 +164,27 @@ def test_generate_step_cap_exhaustion(capsys, dyck_path):
     assert "_" in out.splitlines()  # partial set still printed
 
 
+@pytest.mark.parametrize("cap, partial", [(0, ["_"]), (1, ["_", "cd"]), (2, ["_", "cd", "ccdd", "cdcd"])])
+def test_generate_step_cap_reports_expansions_not_words(capsys, dyck_path, cap, partial):
+    code, out, err = run(
+        capsys, "generate", "--grammar", dyck_path, "--mode", "in",
+        "--max-len", "22", "--step-cap", str(cap),
+    )
+    assert code == 1
+    assert err == f"error: step cap exhausted after {cap} expansions\n"
+    assert out.splitlines() == partial
+
+
+def test_generate_rejects_a_negative_step_cap(capsys, dyck_path):
+    code, out, err = run(
+        capsys, "generate", "--grammar", dyck_path, "--mode", "in",
+        "--max-len", "22", "--step-cap", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: step_cap must be >= 0\n"
+
+
 def test_convert_out_file(capsys, tmp_path):
     out_path = tmp_path / "rep.slt"
     code, _, _ = run(

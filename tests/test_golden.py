@@ -6,7 +6,9 @@ families moved from NFA subset construction to walks on the DFA, and
 before the transition monoid and the ORD cover search got their faster
 inner loops, so they hold the verdicts, evidence strings and report
 layout those changes kept.
-The grammar samples (`*.cg`) are not languages and have no classify report.
+The grammar samples (`*.cg`) are not languages and have no classify report;
+their `generate` output was recorded before generation moved from a heap
+to length layers over one successor kernel.
 """
 
 import os
@@ -40,6 +42,16 @@ CASES.update(
         "verify-all": ["verify", "--lemma", "all"],
     }
 )
+for grammar, mode, max_len in (("dyck", "in", 10), ("dyck", "ex", 10), ("insertion", "in", 12)):
+    CASES[f"generate-{grammar}-{mode}-{max_len}"] = [
+        "generate",
+        "--grammar",
+        os.path.join(SAMPLES, f"{grammar}.cg"),
+        "--mode",
+        mode,
+        "--max-len",
+        str(max_len),
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -49,3 +61,14 @@ def test_cli_output_matches_golden(capsys, name):
     with open(os.path.join(GOLDEN, f"{name}.txt"), encoding="utf-8", newline="") as fh:
         assert out == fh.read()
     assert code == 0
+
+
+def test_generate_step_cap_output_matches_golden(capsys):
+    # the partial set printed when the step cap runs out, and its exit code
+    argv = ["generate", "--grammar", os.path.join(SAMPLES, "dyck.cg"), "--mode", "in"]
+    code = main(argv + ["--max-len", "8", "--step-cap", "3"])
+    captured = capsys.readouterr()
+    with open(os.path.join(GOLDEN, "generate-dyck-in-8-step-cap-3.txt"), encoding="utf-8", newline="") as fh:
+        assert captured.out == fh.read()
+    assert captured.err == "error: step cap exhausted after 3 expansions\n"
+    assert code == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import generation_reference
 from conftest import random_regex_ast
 
 from sublang.automata import Alphabet, InputError, difference, is_empty_language
@@ -93,6 +94,8 @@ def test_step_cap_error_carries_partial():
         generate_bounded(dyck_grammar(), "in", 8, step_cap=3)
     partial = exc.value.partial
     assert "" in partial and "cd" in partial
+    assert exc.value.expansions == 3
+    assert str(exc.value) == "step cap exhausted after 3 expansions"
 
 
 def test_empty_context_discarded_as_self_loop():
@@ -116,6 +119,56 @@ def test_generate_deterministic_across_runs():
 def test_invariant_checks_pass_on_witnesses():
     generate_bounded(ic34_grammar(), "in", 10, check_invariants=True)
     generate_bounded(ec35_grammar(), "ex", 8, check_invariants=True)
+
+
+def test_invariant_check_covers_candidates_beyond_max_len(monkeypatch):
+    # `ccdd` is selected only when `ccdd` itself is expanded, and every
+    # candidate of that expansion has length 6 > max_len
+    contains = LanguageHandle.contains
+
+    def rejecting(self, word):
+        return word != "ccdd" and contains(self, word)
+
+    assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
+    monkeypatch.setattr(LanguageHandle, "contains", rejecting)
+    for route in (generate_bounded, generation_reference.generate_bounded):
+        with pytest.raises(AssertionError, match="destroyed the selected subword of 'ccdd'"):
+            route(dyck_grammar(), "in", 4, check_invariants=True)
+    assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
+
+
+def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
+    contains = LanguageHandle.contains
+    calls: list[tuple[int, str]] = []
+
+    def counting(self, word):
+        calls.append((id(self), word))
+        return contains(self, word)
+
+    monkeypatch.setattr(LanguageHandle, "contains", counting)
+    g = ic34_grammar()
+    assert generate_bounded(g, "in", 9, check_invariants=True) == generation_reference.generate_bounded(g, "in", 9)
+    ours = list(calls)
+    calls.clear()
+    generation_reference.generate_bounded(g, "in", 9, check_invariants=True)
+    assert len(ours) == len(set(ours))
+    assert set(ours) == set(calls)  # the heap route decides the same subwords, with repeats
+    assert len(calls) > len(ours)
+
+
+def test_invariant_check_rejects_a_step_that_does_not_lengthen(monkeypatch):
+    from sublang import grammars
+
+    kernel = grammars._successors
+
+    def with_a_self_loop(g, mode, word, limit=None):
+        yield from kernel(g, mode, word, limit)
+        yield word, 0, Context("c", ""), (0, 0)
+
+    monkeypatch.setattr(grammars, "_successors", with_a_self_loop)
+    assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
+    with pytest.raises(AssertionError, match="shortened '' to ''"):
+        generate_bounded(dyck_grammar(), "in", 4, check_invariants=True)
 
 
 def test_derivation_trace_examples():

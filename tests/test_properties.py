@@ -1,11 +1,15 @@
-"""Property-based cross-checks of the automata algebra on random machines."""
+"""Property-based cross-checks of the automata algebra and grammar generation
+on random machines and grammars."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import classify_reference
 import closure_reference
-from conftest import all_words, brute_accepted
+import generation_reference
+from conftest import all_words, brute_accepted, random_regex_ast
 
 from sublang.automata import (
     Alphabet,
@@ -26,6 +30,17 @@ from sublang.families import (
     is_circular,
     is_commutative,
     is_suffix_closed,
+)
+from sublang.grammars import (
+    Context,
+    ContextualGrammar,
+    LanguageHandle,
+    SelectionPair,
+    StepCapExceeded,
+    derivation_trace,
+    external_successors,
+    generate_bounded,
+    internal_successors,
 )
 from sublang.slt import canonical_rep, slt_membership, slt_to_dfa
 
@@ -190,3 +205,74 @@ def test_canonical_rep_membership_routes_agree(d, k):
         assert not slt_membership(rep, w)
     for w in enumerate_upto(compiled, 6):
         assert slt_membership(rep, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("ab", "ba", "abc", "cab")), st.lists(st.text("abc", max_size=6), max_size=12))
+def test_sort_words_agrees_with_word_key(symbols, words):
+    """The translate-table order is the `word_key` order, also for an
+    alphabet declared out of codepoint order."""
+    alpha = Alphabet.of(symbols)
+    words = [w for w in words if alpha.covers(w)]
+    assert alpha.sort_words(words) == sorted(words, key=alpha.word_key)
+    table = alpha.order_table
+    for u in words:
+        for v in words:
+            assert (u.translate(table) < v.translate(table)) == (alpha.word_key(u)[1] < alpha.word_key(v)[1])
+
+
+@st.composite
+def grammars(draw):
+    """Small grammars over ab, declared `ab` or `ba`: 1-2 pairs selecting
+    random regex languages, some over a one-letter sub-alphabet, with
+    contexts of total length 0-2."""
+    alphabet = draw(st.sampled_from((AB, Alphabet.of("ba"))))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        symbols = draw(st.sampled_from(("ab", "ab", "a", "b")))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        selector = LanguageHandle.from_regex(random_regex_ast(rng, 3, symbols), Alphabet.of(symbols))
+        contexts = []
+        for _ in range(draw(st.integers(1, 3))):
+            left = draw(st.text("ab", max_size=2))
+            contexts.append(Context(left, draw(st.text("ab", max_size=2 - len(left)))))
+        pairs.append(SelectionPair(selector, tuple(contexts)))
+    axioms = draw(st.lists(st.text("ab", max_size=3), min_size=1, max_size=2))
+    # external steps need a selected axiom: often add the first selector's least word
+    selected = pairs[0].selector.bounded_words(3)
+    if selected and draw(st.booleans()):
+        axioms.append(selected[0])
+    return ContextualGrammar(alphabet, tuple(pairs), tuple(axioms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grammars())
+def test_generation_agrees_with_heap_reference(g):
+    """The length-layered closure gives the heap closure's output at every
+    length up to 8, and its step-cap partials and successor sets at length
+    8, in both modes; derivation traces agree for every word up to length 6
+    (a trace searches all shorter words, so length 8 would dominate the run)."""
+    for mode in ("ex", "in"):
+        for max_len in range(9):
+            words = generate_bounded(g, mode, max_len)
+            assert words == generation_reference.generate_bounded(g, mode, max_len)
+            if max_len == 6:
+                for w in words:
+                    trace = derivation_trace(g, mode, w)
+                    want = generation_reference.derivation_trace(g, mode, w)
+                    assert (trace.axiom, trace.steps) == (want.axiom, want.steps)
+        assert generate_bounded(g, mode, max_len, check_invariants=True) == words
+        for cap in range(6):
+            try:
+                want = generation_reference.generate_bounded(g, mode, max_len, step_cap=cap)
+            except generation_reference.StepCapExceeded as exc:
+                with pytest.raises(StepCapExceeded) as got:
+                    generate_bounded(g, mode, max_len, step_cap=cap)
+                assert got.value.partial == exc.partial
+                assert got.value.expansions == cap
+            else:
+                assert generate_bounded(g, mode, max_len, step_cap=cap) == want
+        successors = internal_successors if mode == "in" else external_successors
+        ref_successors = getattr(generation_reference, successors.__name__)
+        for w in words:
+            assert successors(g, w) == ref_successors(g, w)
