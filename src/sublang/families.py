@@ -390,34 +390,66 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     nowhere in labels[last:], so a new label z can only match that head,
     and only when z equals it.
 
+    Appending z to a queue of length s therefore gives length
+    s + (trans[z][i] != tail) - (z == head), which must not exceed `room`,
+    the positions left after this one.  Each node first narrows the labels
+    to those that can pass: at s == room + 1 only z == head, and only if
+    trans[head][i] == tail; at s == room only z == head or a z with
+    trans[z][i] == tail.  When exactly room + 1 labels are still unused,
+    a used label leaves the child too few positions, and the child would
+    prune it on entry.  The filter keeps every label that can pass (it
+    may keep more; the room test below still decides), so it skips only
+    trials that find nothing.
+
     The labels tried, their order and each decrement of `node_budget` are
     part of the output contract: a search that runs out of budget is
     reported as a bounded unknown, so a change to either changes verdicts.
+    Every label still costs one unit, in increasing order: before trying
+    z the node charges z and the skipped labels below it, and on failure
+    it charges the rest.  Once the budget is spent every later trial
+    would fail, so the node stops and charges the rest in bulk too.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
     trans = dm.transitions
+    every = (1 << n) - 1
+    # pre[i][q]: bit set of the labels z with trans[z][i] == q
+    pre = [[0] * n for _ in range(n_sym)]
+    for z in range(n):
+        for i, q in enumerate(trans[z]):
+            pre[i][q] |= 1 << z
     labels: list[int] = []
-    uses = [0] * n  # occurrences of each label in `labels`
-    distinct = 0
     # per letter: (match-from position, pending image labels, collapsed)
     pend: list[tuple[int, tuple[int, ...]]] = [(0, ()) for _ in range(n_sym)]
 
-    def place(depth: int) -> bool:
-        nonlocal distinct
+    def place(depth: int, used: int) -> bool:
+        # used: bit set of the labels in `labels`
         if node_budget[0] <= 0:
             return False
         if depth == length:
-            return distinct == n and not any(queue for _, queue in pend)
-        if n - distinct > length - depth:
-            return False
+            return used == every and not any(queue for _, queue in pend)
         room = length - depth - 1
-        for z in range(n):
-            node_budget[0] -= 1
+        missing = n - used.bit_count()
+        if missing > room + 1:
+            return False
+        passing = every & ~used if missing == room + 1 else every
+        for i in range(n_sym):
+            queue = pend[i][1]
+            if len(queue) == room + 1:
+                head = queue[0]
+                passing &= 1 << head if trans[head][i] == queue[-1] else 0
+            elif queue and len(queue) == room:
+                passing &= pre[i][queue[-1]] | 1 << queue[0]
+        tried = 0
+        while passing:
+            bit = passing & -passing
+            passing ^= bit
+            z = bit.bit_length() - 1
+            node_budget[0] -= z - tried + 1
+            tried = z + 1
+            if node_budget[0] <= 0:
+                break
             labels.append(z)
-            uses[z] += 1
-            if uses[z] == 1:
-                distinct += 1
             saved = pend[:]
             row = trans[z]
             ok = True
@@ -441,16 +473,14 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
                     ok = False
                     break
                 pend[i] = (last, queue)
-            if ok and place(depth + 1):
+            if ok and place(depth + 1, used | bit):
                 return True
             labels.pop()
-            uses[z] -= 1
-            if uses[z] == 0:
-                distinct -= 1
             pend[:] = saved
+        node_budget[0] -= n - tried
         return False
 
-    if place(0):
+    if place(0, 0):
         return tuple(labels)
     return None
 

@@ -442,14 +442,22 @@ def _source_alphabet(source: BoundedSource) -> Alphabet | None:
 
 
 def compare_bounded(left: BoundedSource, right: BoundedSource, max_len: int) -> CompareReport:
-    """Symmetric difference of the two bounded word sets; empty means equal."""
+    """Symmetric difference of the two bounded word sets; empty means equal.
+
+    When only one source has an alphabet, every word of the other source
+    must be over it."""
     la, ra = _source_alphabet(left), _source_alphabet(right)
     if la is not None and ra is not None and la.symbols != ra.symbols:
         raise InputError(
             f"alphabet mismatch: {''.join(la.symbols)!r} vs {''.join(ra.symbols)!r}"
         )
-    lw = set(bounded_words(left, max_len))
-    rw = set(bounded_words(right, max_len))
+    lw = bounded_words(left, max_len)
+    rw = bounded_words(right, max_len)
     alpha = la or ra
+    if alpha is not None:
+        stray = next((w for w in (rw if la is not None else lw) if not alpha.covers(w)), None)
+        if stray is not None:
+            raise InputError(f"alphabet mismatch: {stray!r} is not a word over {''.join(alpha.symbols)!r}")
+    lw, rw = set(lw), set(rw)
     sort = alpha.sort_words if alpha else (lambda ws: sorted(ws, key=lambda w: (len(w), w)))
     return CompareReport(max_len, tuple(sort(lw - rw)), tuple(sort(rw - lw)))

@@ -6,7 +6,9 @@ monoid stores each transformation as a tuple composed element by
 element.  The package runs the same searches with incremental
 bookkeeping and `str.translate`; they must visit the same nodes in the
 same order, so labels, remaining node budget, monoid elements, words and
-cap exits all agree exactly.
+cap exits all agree exactly.  (The package's cover search settles the
+labels a node rules out, and those left once the budget is spent,
+without running them, but charges each one as this search does.)
 """
 
 from collections import deque

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from sublang.cli import main
@@ -114,6 +116,36 @@ def test_compare_detects_difference(capsys):
     )
     assert code == 1
     assert "left only: _" in out
+
+
+SAMPLE_DYCK = os.path.join(os.path.dirname(__file__), "..", "samples", "dyck.cg")
+
+
+def test_compare_rejects_oracle_words_outside_the_grammar_alphabet(capsys):
+    # the oracle has no alphabet of its own; its words must be over the grammar's
+    code, out, err = run(
+        capsys,
+        "compare",
+        "--left", f"grammar-in:{SAMPLE_DYCK}",
+        "--right", "oracle:l-ic-32",
+        "--max-len", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: alphabet mismatch: 'ab' is not a word over 'cd'\n"
+
+
+def test_compare_accepts_an_oracle_over_the_grammar_alphabet(capsys):
+    code, out, err = run(
+        capsys,
+        "compare",
+        "--left", "oracle:dyck",
+        "--right", f"grammar-in:{SAMPLE_DYCK}",
+        "--max-len", "4",
+    )
+    assert code == 0
+    assert out == "equal up to length 4\n"
+    assert err == ""
 
 
 def test_convert_definite(capsys):

@@ -15,6 +15,8 @@ from sublang.automata import (
     minimize,
 )
 from sublang.families import (
+    _COVER_NODE_BUDGET,
+    _find_monotone_cover,
     classify,
     definite_to_slt,
     implication_violations,
@@ -156,6 +158,18 @@ def test_is_orderable_beyond_minimal_automaton():
     assert cert.dfa.n_states > minimize(d).n_states
     assert verify_order(cert.dfa, cert.order)
     assert are_equivalent(cert.dfa, d).equal
+
+
+def test_cover_search_stops_once_the_budget_is_spent():
+    """Every open node still charges its remaining labels, so the budget ends
+    where trying each of them would leave it (-672,800, as before the search
+    stopped early), but the search no longer runs those trials."""
+    chain = one_letter_chain(1200)
+    nodes = [_COVER_NODE_BUDGET]
+    start = time.perf_counter()
+    assert _find_monotone_cover(chain, 1200, nodes) is None
+    assert time.perf_counter() - start < 0.5
+    assert nodes == [-672_800]
 
 
 def test_is_orderable_certificates_verify(corpus):

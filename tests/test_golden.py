@@ -5,7 +5,9 @@ Each case runs `sublang.cli.main` in process and compares stdout with
 families moved from NFA subset construction to walks on the DFA, and
 before the transition monoid and the ORD cover search got their faster
 inner loops, so they hold the verdicts, evidence strings and report
-layout those changes kept.
+layout those changes kept.  `prefix-suffix-abc.slt` (recorded before the
+cover search filtered labels per node) runs ORD out of its node budget
+over three letters, so it pins the budget accounting there.
 The grammar samples (`*.cg`) are not languages and have no classify report;
 their `generate` output was recorded before generation moved from a heap
 to length layers over one successor kernel.

@@ -1,6 +1,7 @@
 """Property-based cross-checks of the automata algebra and grammar generation
 on random machines and grammars."""
 
+import itertools
 import random
 
 import pytest
@@ -42,7 +43,7 @@ from sublang.grammars import (
     generate_bounded,
     internal_successors,
 )
-from sublang.slt import canonical_rep, slt_membership, slt_to_dfa
+from sublang.slt import canonical_rep, make_rep, slt_membership, slt_to_dfa
 
 AB = Alphabet.of("ab")
 
@@ -102,19 +103,48 @@ def test_closure_walks_agree_with_nfa_reference(d):
 KERNEL_DFAS = st.one_of(*(dfas(7, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc")))
 
 
+@st.composite
+def window_set_dfas(draw):
+    """Minimal DFAs of window-set languages: k=2 over ab or abc, k=3 over ab
+    (k=3 over abc gives more than 16 states).  Their cover searches fill
+    pending queues up to the room left and run out of budget, so they
+    reach every branch of the per-node label filter."""
+    symbols, k = draw(st.sampled_from([("ab", 2), ("ab", 3), ("abc", 2)]))
+    windows = ["".join(w) for w in itertools.product(symbols, repeat=k)]
+    shorter = ["".join(w) for m in range(k) for w in itertools.product(symbols, repeat=m)]
+
+    def subset(words):
+        return draw(st.frozensets(st.sampled_from(words)))
+
+    rep = make_rep(k, Alphabet.of(symbols), subset(windows), subset(windows), subset(windows), subset(shorter))
+    return minimize(slt_to_dfa(rep))
+
+
+def assert_cover_search_agrees(dm, budgets):
+    n = dm.n_states
+    for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 1):
+        for budget in budgets:
+            got, want = [budget], [budget]
+            assert _find_monotone_cover(dm, length, got) == classify_reference.find_monotone_cover(dm, length, want)
+            assert got == want
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(KERNEL_DFAS)
 def test_cover_search_agrees_with_reference(d):
     """Same labels and same remaining node budget as the rescanning search,
     for every chain length ORD tries and budgets that run out at
-    different depths."""
-    dm = minimize(d)
-    n = dm.n_states
-    for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 1):
-        for budget in (50, 500, 5000, 40000):
-            got, want = [budget], [budget]
-            assert _find_monotone_cover(dm, length, got) == classify_reference.find_monotone_cover(dm, length, want)
-            assert got == want
+    different depths (budgets 1, 2 and 7 run out inside one node's labels)."""
+    assert_cover_search_agrees(minimize(d), (1, 2, 7, 50, 500, 5000, 40000))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(window_set_dfas())
+def test_cover_search_agrees_with_reference_on_window_sets(dm):
+    """The same agreement on the inputs whose searches the per-node label
+    filter prunes hardest, with budgets that run out deep in the search."""
+    assert dm.n_states <= 16
+    assert_cover_search_agrees(dm, (5000, 40000))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

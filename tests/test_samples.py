@@ -29,6 +29,12 @@ def test_sample_slt_file():
     assert are_equivalent(slt_to_dfa(rep), compile_regex("(a|b)*b", Alphabet.of("ab"))).equal
 
 
+def test_sample_three_letter_slt_file():
+    rep = parse_slt_file(path("prefix-suffix-abc.slt"))
+    regex = "cc|acc|ccc|(ac|ba|ca|cc)(a|b|c)*(b|c)c"
+    assert are_equivalent(slt_to_dfa(rep), compile_regex(regex, Alphabet.of("abc"))).equal
+
+
 def test_sample_dfa_file():
     d = parse_dfa_file(path("two-blocks.dfa"))
     assert are_equivalent(d, compile_regex("a*ba*ba*", Alphabet.of("ab"))).equal
