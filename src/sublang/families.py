@@ -505,6 +505,57 @@ def _cover_to_dfa(dm: Dfa, labels: tuple[int, ...]) -> Dfa:
     return Dfa(dm.alphabet, len(labels), start, accepting, trans)
 
 
+def _orientation_conflict(dm: Dfa) -> bool:
+    """Whether the pair orientations of dm force a contradiction, which
+    proves that no total order of dm's states is monotone.
+
+    For states p < q, let the orientation of the pair {p, q} say whether
+    p comes before q.  An order in which p comes before q must put
+    δ(p,a) before δ(q,a) whenever the two differ, so the orientation of
+    {p, q} equals that of {δ(p,a), δ(q,a)}, flipped when δ(p,a) > δ(q,a).
+    A union-find with parity over the pairs joins these equations; a pair
+    forced to differ from itself is a conflict.  No conflict proves
+    nothing, since transitivity is not checked.  Cost O(n²·|V|).
+    """
+    n = dm.n_states
+    trans = dm.transitions
+    # pair (p, q) with p < q has index base[q] + p
+    base = [q * (q - 1) // 2 for q in range(n)]
+    parent = list(range(n * (n - 1) // 2))
+    flip = [0] * len(parent)  # orientation relative to the parent pair
+
+    def find(x: int) -> tuple[int, int]:
+        """Root of x and x's orientation relative to it; compresses the path."""
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        parity = 0
+        for y in reversed(path):
+            parity ^= flip[y]
+            flip[y] = parity
+            parent[y] = x
+        return x, parity
+
+    for q in range(1, n):
+        row_q = trans[q]
+        for p in range(q):
+            pair = base[q] + p
+            for a, b in zip(trans[p], row_q):
+                if a == b:
+                    continue
+                image, turn = (base[b] + a, 0) if a < b else (base[a] + b, 1)
+                root, parity = find(pair)
+                image_root, image_parity = find(image)
+                if root == image_root:
+                    if parity ^ image_parity != turn:
+                        return True
+                else:
+                    parent[root] = image_root
+                    flip[root] = parity ^ image_parity ^ turn
+    return False
+
+
 _COVER_NODE_BUDGET = 400_000
 
 
@@ -518,9 +569,12 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     chains of up to max(n, 2|V|+3) states labeled by minimal-automaton
     classes; 2|V|+3 states always suffice for a language defined by
     single-letter window sets, which keeps the hierarchy's SLT1-to-ordered
-    inclusion decidable here.  "No" is exact only via aperiodicity
-    (ordered automata have aperiodic transition monoids); otherwise a
-    failed search is reported as a bounded unknown.
+    inclusion decidable here.  At length n, where a chain is an order of
+    the minimal automaton itself, an orientation conflict settles the
+    length first: it counts as searched in full and costs no budget.
+    "No" is exact only via aperiodicity (ordered automata have aperiodic
+    transition monoids); otherwise a failed search is reported as a
+    bounded unknown.
     """
     dm = d if d.minimal else minimize(d)
     nc = is_noncounting(dm, monoid)
@@ -532,7 +586,8 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     n = dm.n_states
     budget = max(n, 2 * len(dm.alphabet) + 3)
     nodes = [_COVER_NODE_BUDGET]
-    for length in range(n, budget + 1):
+    first = n + 1 if _orientation_conflict(dm) else n
+    for length in range(first, budget + 1):
         labels = _find_monotone_cover(dm, length, nodes)
         if labels is None:
             continue
@@ -564,7 +619,6 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
 _MONOID_CAP = 1 << 15
 
 
-@dataclass
 class TransitionMonoid:
     """State transformations of a DFA, closed under composition.
 
@@ -572,36 +626,76 @@ class TransitionMonoid:
     `elements[i][q]` is `chr` of the state reached from q by reading
     `words[i]`, so composing with a letter is one `str.translate`.
     Contains the identity (empty word); generator words are shortest-lex.
+
+    The monoid is built lazily by one breadth-first search.  Iterating it
+    yields (transformation, word) pairs in that order and extends the
+    search only as far as the reader goes (at most twice as far), so a
+    reader that stops at a witness never builds the rest.  BFS finds the
+    elements in shortlex order of their least words, so the first element
+    with a property is the same however far the search has run.  `len` and `from_dfa` need
+    the whole monoid.  The cap is tested when an element is appended:
+    appending element number `cap + 1` raises `InputError`, so only a
+    reader that goes that far sees it.
     """
 
-    dfa: Dfa
-    elements: list[str]
-    words: list[str]
-
-    @classmethod
-    def from_dfa(cls, d: Dfa, cap: int = _MONOID_CAP) -> "TransitionMonoid":
+    def __init__(self, d: Dfa, cap: int = _MONOID_CAP) -> None:
         n = d.n_states
-        letters = [
+        self.dfa = d
+        self._letters = [
             (a, "".join(chr(d.transitions[q][i]) for q in range(n)))
             for i, a in enumerate(d.alphabet.symbols)
         ]
         ident = "".join(map(chr, range(n)))
-        seen = {ident}
-        elements = [ident]
-        words = [""]
-        # breadth first: the loop reads `elements` while appending to it
-        for e, base in enumerate(elements):
-            for a, row in letters:
+        self.elements = [ident]
+        self.words = [""]
+        self._seen = {ident}
+        self._cap = cap
+        # next (element, letter) product of the search
+        self._cursor = (0, 0)
+
+    @classmethod
+    def from_dfa(cls, d: Dfa, cap: int = _MONOID_CAP) -> "TransitionMonoid":
+        m = cls(d, cap)
+        m._grow()
+        return m
+
+    def _grow(self, size: int | None = None) -> None:
+        """Run the search until it has `size` elements or is closed (all
+        of it if None)."""
+        elements, words, seen, letters = self.elements, self.words, self._seen, self._letters
+        e, k = self._cursor
+        while e < len(elements):
+            base = elements[e]
+            while k < len(letters):
+                a, row = letters[k]
+                k += 1
                 t = base.translate(row)
                 if t not in seen:
-                    if len(elements) >= cap:
+                    if len(elements) >= self._cap:
                         raise InputError("transition monoid too large for desk-scale analysis")
                     seen.add(t)
                     elements.append(t)
                     words.append(words[e] + a)
-        return cls(d, elements, words)
+                    if len(elements) == size:
+                        self._cursor = (e, k)
+                        return
+            e, k = e + 1, 0
+        self._cursor = (e, k)
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self.elements):
+                # run ahead up to twice as far, but not past the cap, so
+                # only a reader of element cap + 1 meets the cap error
+                self._grow(max(i + 1, min(2 * i, self._cap)))
+                if i == len(self.elements):
+                    return
+            yield self.elements[i], self.words[i]
+            i += 1
 
     def __len__(self) -> int:
+        self._grow()
         return len(self.elements)
 
 
@@ -625,10 +719,15 @@ def _power_cycle(t: str) -> tuple[list[str], int, int]:
 
 
 def is_noncounting(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
-    """Aperiodicity of the transition monoid of the minimal automaton."""
+    """Aperiodicity of the transition monoid of the minimal automaton.
+
+    "No" names the first counter in breadth-first order, the shortlex
+    least word whose transformation has eventual period > 1, and builds
+    the monoid only that far; "yes" needs the whole monoid and its size.
+    """
     dm = d if d.minimal else minimize(d)
-    m = monoid or TransitionMonoid.from_dfa(dm)
-    for t, word in zip(m.elements, m.words):
+    m = monoid if monoid is not None else TransitionMonoid(dm)
+    for t, word in m:
         _, _, period = _power_cycle(t)
         if period > 1:
             return _no(
@@ -642,11 +741,13 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     """Acceptance of x^n must become constant along each power cycle.
 
     x^n membership depends only on the n-th power of x's transformation,
-    and a uniform threshold exists because the monoid is finite.
+    and a uniform threshold exists because the monoid is finite.  "No"
+    names the shortlex least word whose power cycle mixes acceptance and
+    builds the monoid only that far; "yes" needs the whole monoid.
     """
     dm = d if d.minimal else minimize(d)
-    m = monoid or TransitionMonoid.from_dfa(dm)
-    for t, word in zip(m.elements, m.words):
+    m = monoid if monoid is not None else TransitionMonoid(dm)
+    for t, word in m:
         powers, tail, period = _power_cycle(t)
         verdicts = {
             ord(powers[e - 1][dm.start]) in dm.accepting for e in range(tail, tail + period)
@@ -671,7 +772,9 @@ def is_union_free_syntactic(ast: RegexAst) -> bool:
 
 def decide_family(tag: str, d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     """Verdict of the family `tag`; `monoid`, the transition monoid of the
-    minimal automaton, is shared by the procedures that need it."""
+    minimal automaton, is shared by the procedures that need it.  It is
+    extended lazily, so each procedure builds only as much of it as its
+    answer needs, and what one builds the next reuses."""
     procedure = globals()[FAMILY_PROCEDURES[tag]]
     if tag in _MONOID_FAMILIES:
         return procedure(d, monoid)
@@ -718,7 +821,7 @@ def classify(
     The report is a deterministic function of (d, k_max, source_expr).
     """
     dm = minimize(d)
-    monoid = TransitionMonoid.from_dfa(dm)
+    monoid = TransitionMonoid(dm)
 
     verdicts = {tag: decide_family(tag, dm, monoid) for tag in FAMILY_PROCEDURES}
     if source_expr is not None and is_union_free_syntactic(source_expr):

@@ -114,113 +114,111 @@ def parse_regex(text: str) -> RegexAst:
     return node
 
 
+def _postorder(ast: RegexAst):
+    """The nodes of the tree, children before parents and left before
+    right.  The walk keeps its own stack, so deep trees do not recurse."""
+    stack = [(ast, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, (Concat, Union)):
+            children = (node.left, node.right)
+        elif isinstance(node, Star):
+            children = (node.inner,)
+        else:
+            children = ()
+        if expanded or not children:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+
+
 def render_regex(ast: RegexAst) -> str:
     """Inverse of parse_regex for all nodes except Empty."""
 
-    def prec(node: RegexAst) -> int:
-        if isinstance(node, Union):
-            return 0
-        if isinstance(node, Concat):
-            return 1
-        return 2
+    def wrap(part: tuple[str, int], ctx: int) -> str:
+        # a part binds with its precedence; it needs parentheses in a
+        # context that binds tighter
+        text, prec = part
+        return "(" + text + ")" if prec < ctx else text
 
-    def go(node: RegexAst, ctx: int) -> str:
+    done: list[tuple[str, int]] = []  # (text, precedence) of finished subtrees
+    for node in _postorder(ast):
         if isinstance(node, Empty):
             raise InputError("the empty language has no surface syntax")
         if isinstance(node, Epsilon):
-            return "_"
-        if isinstance(node, Sym):
-            return node.char
-        if isinstance(node, Union):
-            s = go(node.left, 0) + "|" + go(node.right, 0)
+            done.append(("_", 3))
+        elif isinstance(node, Sym):
+            done.append((node.char, 3))
+        elif isinstance(node, Union):
+            right, left = done.pop(), done.pop()
+            done.append((left[0] + "|" + right[0], 0))
         elif isinstance(node, Concat):
-            s = go(node.left, 1) + go(node.right, 2)
+            right, left = done.pop(), done.pop()
+            done.append((wrap(left, 1) + wrap(right, 2), 1))
         elif isinstance(node, Star):
-            s = go(node.inner, 3) + "*"
+            done.append((wrap(done.pop(), 3) + "*", 2))
         else:  # pragma: no cover
             raise TypeError(node)
-        return "(" + s + ")" if prec(node) < ctx else s
-
-    return go(ast, 0)
+    return done.pop()[0]
 
 
 def symbols_of(ast: RegexAst) -> list[str]:
     """Distinct symbols in first-appearance order."""
     out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(node: RegexAst) -> None:
-        if isinstance(node, Sym):
-            if node.char not in seen:
-                seen.add(node.char)
-                out.append(node.char)
-        elif isinstance(node, (Concat, Union)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Star):
-            walk(node.inner)
-
-    walk(ast)
+    for node in _postorder(ast):
+        if isinstance(node, Sym) and node.char not in out:
+            out.append(node.char)
     return out
 
 
 def is_union_free(ast: RegexAst) -> bool:
     """True iff no union node occurs (a certificate on this expression only)."""
-    if isinstance(ast, (Concat, Union)):
-        if isinstance(ast, Union):
-            return False
-        return is_union_free(ast.left) and is_union_free(ast.right)
-    if isinstance(ast, Star):
-        return is_union_free(ast.inner)
-    return True
+    return not any(isinstance(node, Union) for node in _postorder(ast))
 
 
 def to_nfa(ast: RegexAst, alphabet: Alphabet) -> Nfa:
     """Thompson construction."""
     nfa = Nfa(alphabet)
-
-    def build(node: RegexAst) -> tuple[int, int]:
+    done: list[tuple[int, int]] = []  # (start, end) of finished subtrees
+    for node in _postorder(ast):
         if isinstance(node, Empty):
-            return nfa.add_state(), nfa.add_state()
-        if isinstance(node, Epsilon):
+            done.append((nfa.add_state(), nfa.add_state()))
+        elif isinstance(node, (Epsilon, Sym)):
+            label = None
+            if isinstance(node, Sym):
+                if node.char not in alphabet:
+                    raise InputError(f"symbol {node.char!r} not in alphabet {''.join(alphabet.symbols)!r}")
+                label = node.char
             s = nfa.add_state()
             t = nfa.add_state()
-            nfa.add_edge(s, None, t)
-            return s, t
-        if isinstance(node, Sym):
-            if node.char not in alphabet:
-                raise InputError(f"symbol {node.char!r} not in alphabet {''.join(alphabet.symbols)!r}")
-            s = nfa.add_state()
-            t = nfa.add_state()
-            nfa.add_edge(s, node.char, t)
-            return s, t
-        if isinstance(node, Concat):
-            s1, t1 = build(node.left)
-            s2, t2 = build(node.right)
+            nfa.add_edge(s, label, t)
+            done.append((s, t))
+        elif isinstance(node, Concat):
+            (s2, t2), (s1, t1) = done.pop(), done.pop()
             nfa.add_edge(t1, None, s2)
-            return s1, t2
-        if isinstance(node, Union):
-            s1, t1 = build(node.left)
-            s2, t2 = build(node.right)
+            done.append((s1, t2))
+        elif isinstance(node, Union):
+            (s2, t2), (s1, t1) = done.pop(), done.pop()
             s = nfa.add_state()
             t = nfa.add_state()
             nfa.add_edge(s, None, s1)
             nfa.add_edge(s, None, s2)
             nfa.add_edge(t1, None, t)
             nfa.add_edge(t2, None, t)
-            return s, t
-        if isinstance(node, Star):
-            s1, t1 = build(node.inner)
+            done.append((s, t))
+        elif isinstance(node, Star):
+            s1, t1 = done.pop()
             s = nfa.add_state()
             t = nfa.add_state()
             nfa.add_edge(s, None, s1)
             nfa.add_edge(s, None, t)
             nfa.add_edge(t1, None, s1)
             nfa.add_edge(t1, None, t)
-            return s, t
-        raise TypeError(node)  # pragma: no cover
-
-    s, t = build(ast)
+            done.append((s, t))
+        else:  # pragma: no cover
+            raise TypeError(node)
+    s, t = done.pop()
     nfa.starts.add(s)
     nfa.accepting.add(t)
     return nfa

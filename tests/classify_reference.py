@@ -9,11 +9,25 @@ same order, so labels, remaining node budget, monoid elements, words and
 cap exits all agree exactly.  (The package's cover search settles the
 labels a node rules out, and those left once the budget is spent,
 without running them, but charges each one as this search does.)
+
+`is_noncounting`, `is_power_separating` and `is_orderable` below are the
+eager routes: they build the whole monoid before looking at it, and ORD
+runs the chain search from length n.  The package stops at the first
+witness and settles length n by an orientation conflict first; wherever
+the eager route finishes, its verdicts must be the same.
 """
 
 from collections import deque
 
-from sublang.automata import Dfa, InputError
+from sublang.automata import Dfa, InputError, are_equivalent, minimize
+from sublang.families import (
+    _COVER_NODE_BUDGET,
+    OrderCertificate,
+    Verdict,
+    _cover_to_dfa,
+    _find_monotone_cover,
+    verify_order,
+)
 
 
 def find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
@@ -131,3 +145,63 @@ def power_cycle(t: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int, int]:
             return powers, tail, exp - tail
         seen[cur] = exp
         powers.append(cur)
+
+
+def _fmt(word: str) -> str:
+    return word if word else "_"
+
+
+def is_noncounting(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
+    """Aperiodicity of the transition monoid of the minimal automaton."""
+    dm = d if d.minimal else minimize(d)
+    elements, words = monoid_from_dfa(dm, cap)
+    for t, word in zip(elements, words):
+        _, _, period = power_cycle(t)
+        if period > 1:
+            return Verdict("no", evidence=f"word {_fmt(word)} has eventual period {period}", payload=(word, period))
+    return Verdict("yes", evidence=f"aperiodic transition monoid (size {len(elements)})", payload=len(elements))
+
+
+def is_power_separating(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
+    """Acceptance of x^n must become constant along each power cycle."""
+    dm = d if d.minimal else minimize(d)
+    elements, words = monoid_from_dfa(dm, cap)
+    for t, word in zip(elements, words):
+        powers, tail, period = power_cycle(t)
+        verdicts = {powers[e - 1][dm.start] in dm.accepting for e in range(tail, tail + period)}
+        if len(verdicts) > 1:
+            return Verdict(
+                "no",
+                evidence=f"powers of {_fmt(word)} mix accept/reject on their cycle "
+                f"(cycle start {tail}, period {period})",
+                payload=(word, tail, period),
+            )
+    return Verdict("yes", evidence=f"every power sequence stabilizes acceptance (monoid size {len(elements)})")
+
+
+def is_orderable(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
+    """Aperiodicity first, then the chain search at every length from n."""
+    dm = d if d.minimal else minimize(d)
+    nc = is_noncounting(dm, cap)
+    if nc.value == "no":
+        return Verdict(
+            "no", evidence=f"not star-free ({nc.evidence}); ordered automata are aperiodic", payload=nc.payload
+        )
+    n = dm.n_states
+    budget = max(n, 2 * len(dm.alphabet) + 3)
+    nodes = [_COVER_NODE_BUDGET]
+    for length in range(n, budget + 1):
+        labels = _find_monotone_cover(dm, length, nodes)
+        if labels is None:
+            continue
+        cover = _cover_to_dfa(dm, labels)
+        order = tuple(range(len(labels)))
+        assert verify_order(cover, order) and are_equivalent(cover, dm).equal
+        if length == n:
+            pretty = " <= ".join(f"q{z}" for z in labels)
+            evidence = f"monotone order on the minimal automaton: {pretty}"
+        else:
+            evidence = f"ordered automaton with {length} states over {n} minimal classes"
+        return Verdict("yes", evidence=evidence, payload=OrderCertificate(cover, order, labels))
+    detail = "search budget exhausted" if nodes[0] <= 0 else f"no ordered automaton with <= {budget} states"
+    return Verdict("unknown", bound=budget, evidence=f"{detail}; minimal automaton unorderable")

@@ -48,7 +48,16 @@ def test_classify_porcelain(capsys):
     assert "family=UF verdict=yes" in out
 
 
-# a minimal 16-state DFA over abc whose transition monoid exceeds the cap
+def write_dfa(path, accept, rows) -> str:
+    lines = ["alphabet a b c", f"states {len(rows)}", "start 0", "accept " + " ".join(map(str, accept))]
+    for q, row in enumerate(rows):
+        lines.extend(f"trans {q} {a} {t}" for a, t in zip("abc", row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"dfa:{path}"
+
+
+# a minimal 16-state DFA over abc whose transition monoid exceeds the cap;
+# its first counter, `a`, settles NC, PS and ORD without the rest
 CAP_DFA_ROWS = (
     (1, 2, 3),
     (4, 0, 5),
@@ -68,17 +77,55 @@ CAP_DFA_ROWS = (
     (8, 7, 7),
 )
 
+CAP_DFA_REPORT = """\
+family=FIN verdict=no evidence='pumpable: _(aaaaaa)*b'
+family=MON verdict=no evidence='witness=_'
+family=NIL verdict=no evidence='language and complement both pump'
+family=COMB verdict=no evidence='witness=aa'
+family=DEF verdict=no evidence='state pair (0, 1) never merges on (aaaaaa)*'
+family=SUF verdict=no evidence='suffix _ of an accepted word is rejected'
+family=ORD verdict=no evidence='not star-free (word a has eventual period 6); ordered automata are aperiodic'
+family=COMM verdict=no evidence='swap of aab gives aba which is rejected'
+family=CIRC verdict=no evidence='rotation ab of ba is rejected'
+family=NC verdict=no evidence='word a has eventual period 6'
+family=PS verdict=no evidence='powers of a mix accept/reject on their cycle (cycle start 3, period 6)'
+family=UF verdict=unknown evidence='no union-free expression certificate; syntactic check only'
+family=SLT1 verdict=no evidence='not star-free'
+family=SLT verdict=no evidence='not star-free'
+"""
+
+
+def test_classify_settles_a_counter_past_the_monoid_cap(capsys, tmp_path):
+    spec = write_dfa(tmp_path / "cap.dfa", (2, 4, 5, 6, 9, 10, 13, 14), CAP_DFA_ROWS)
+    code, out, err = run(capsys, "classify", "--porcelain", "--input", spec)
+    assert (code, out, err) == (0, CAP_DFA_REPORT, "")
+
+
+# order-preserving, extensive letter maps on 28 states: an aperiodic
+# language whose minimal DFA (23 states) has a transition monoid of 46,749
+# elements, so NC "yes" needs more than the cap
+APERIODIC_CAP_DFA_ROWS = (
+    (0, 1, 2), (1, 1, 2), (2, 2, 3), (4, 3, 6), (4, 5, 6), (6, 7, 6), (7, 7, 6),
+    (10, 7, 8), (10, 8, 11), (10, 10, 11), (10, 11, 13), (11, 12, 13), (13, 15, 13), (14, 15, 14),
+    (15, 15, 15), (16, 17, 15), (17, 17, 17), (19, 18, 20), (21, 18, 20), (21, 22, 20), (21, 22, 20),
+    (23, 22, 22), (23, 23, 23), (23, 24, 24), (26, 26, 24), (27, 26, 25), (27, 27, 26), (27, 27, 27),
+)
+APERIODIC_CAP_DFA_ACCEPT = (0, 2, 5, 6, 7, 9, 11, 13, 15, 17, 18, 19, 20, 22, 24, 26, 27)
+
 
 def test_classify_reports_the_monoid_cap(capsys, tmp_path):
-    lines = ["alphabet a b c", "states 16", "start 0", "accept 2 4 5 6 9 10 13 14"]
-    for q, row in enumerate(CAP_DFA_ROWS):
-        lines.extend(f"trans {q} {a} {t}" for a, t in zip("abc", row))
-    path = tmp_path / "cap.dfa"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "classify", "--porcelain", "--input", f"dfa:{path}")
+    spec = write_dfa(tmp_path / "cap.dfa", APERIODIC_CAP_DFA_ACCEPT, APERIODIC_CAP_DFA_ROWS)
+    code, out, err = run(capsys, "classify", "--porcelain", "--input", spec)
     assert code == 2
     assert out == ""
     assert err == "error: transition monoid too large for desk-scale analysis\n"
+
+
+@pytest.mark.parametrize("expr", ["a*" * 1200, "a|" * 1199 + "a"], ids=["1200-stars", "1200-unions"])
+def test_classify_deep_regex_trees_do_not_recurse(capsys, expr):
+    code, out, err = run(capsys, "classify", "--porcelain", "--input", f"regex:{expr}", "--alphabet", "a")
+    assert (code, err) == (0, "")
+    assert "family=NC verdict=yes" in out
 
 
 def test_verify_single_lemma(capsys):

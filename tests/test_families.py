@@ -16,7 +16,10 @@ from sublang.automata import (
 )
 from sublang.families import (
     _COVER_NODE_BUDGET,
+    TransitionMonoid,
+    Verdict,
     _find_monotone_cover,
+    _orientation_conflict,
     classify,
     definite_to_slt,
     implication_violations,
@@ -287,6 +290,42 @@ def test_is_power_separating():
     assert v.value == "yes" and v.evidence.endswith("(monoid size 300)")
     v = is_power_separating(one_letter_cycle(300))
     assert v.value == "no" and v.evidence.endswith("(cycle start 1, period 300)")
+
+
+def test_monoid_is_built_only_as_far_as_the_answer_needs():
+    # a counter at the first letter settles NC and PS below a cap of 2
+    cycle = one_letter_cycle(30)
+    m = TransitionMonoid(cycle, cap=2)
+    assert is_noncounting(cycle, m).evidence == "word a has eventual period 30"
+    assert is_power_separating(cycle, m).value == "no"
+    assert m.words == ["", "a"]
+    with pytest.raises(InputError, match="transition monoid too large"):
+        len(m)
+    with pytest.raises(InputError, match="transition monoid too large"):
+        TransitionMonoid.from_dfa(cycle, cap=2)
+    # an aperiodic "yes" needs the whole monoid, so only it meets the cap
+    chain = one_letter_chain(40)
+    with pytest.raises(InputError, match="transition monoid too large"):
+        is_noncounting(chain, TransitionMonoid(chain, cap=39))
+    m = TransitionMonoid(chain, cap=40)
+    assert is_noncounting(chain, m).payload == 40
+    assert m.elements == TransitionMonoid.from_dfa(chain).elements
+
+
+def test_orientation_conflict_settles_length_n():
+    # n = 11 exceeds 2|V|+3 = 7, so length n is the only one searched and
+    # the conflict makes the answer that of a complete search
+    d = compile_regex("aababbb(b|a)b", AB)
+    assert minimize(d).n_states == 11 and _orientation_conflict(minimize(d))
+    assert is_orderable(d) == Verdict(
+        "unknown", bound=11, evidence="no ordered automaton with <= 11 states; minimal automaton unorderable"
+    )
+    # no conflict where the minimal automaton has an order
+    assert not _orientation_conflict(ic35_table_dfa())
+    assert not _orientation_conflict(one_letter_chain(50))
+    # a conflict at n leaves the longer chains to the search
+    d = compile_regex("a|ab*a", AB)
+    assert _orientation_conflict(minimize(d)) and is_orderable(d).value == "yes"
 
 
 def test_is_union_free_syntactic():

@@ -7,7 +7,10 @@ before the transition monoid and the ORD cover search got their faster
 inner loops, so they hold the verdicts, evidence strings and report
 layout those changes kept.  `prefix-suffix-abc.slt` (recorded before the
 cover search filtered labels per node) runs ORD out of its node budget
-over three letters, so it pins the budget accounting there.
+over three letters, so it pins the budget accounting there.  The ORD row
+of `regex:aababbb(b|a)b` was re-recorded when an orientation conflict
+began to settle chain length n: it read `search budget exhausted` before,
+with the same verdict and bound.
 The grammar samples (`*.cg`) are not languages and have no classify report;
 their `generate` output was recorded before generation moved from a heap
 to length layers over one successor kernel.
@@ -39,7 +42,7 @@ CASES.update(
         "classify-regex-a_or_abstar_a": ["classify", "--porcelain", "--input", "regex:a|ab*a"],
         "classify-regex-ab_abstar": ["classify", "--porcelain", "--input", "regex:ab(ab)*"],
         "classify-regex-b_or_abstar_a_star": ["classify", "--porcelain", "--input", "regex:(b|ab*a)*"],
-        # ORD runs out of its cover-search node budget: pins the budget accounting
+        # ORD settles its only chain length, n = 11, by an orientation conflict
         "classify-regex-aababbb_b_or_a_b": ["classify", "--porcelain", "--input", "regex:aababbb(b|a)b"],
         "verify-all": ["verify", "--lemma", "all"],
     }

@@ -27,7 +27,9 @@ from sublang.automata import (
 from sublang.families import (
     TransitionMonoid,
     _find_monotone_cover,
+    _orientation_conflict,
     _power_cycle,
+    decide_family,
     is_circular,
     is_commutative,
     is_suffix_closed,
@@ -122,11 +124,22 @@ def window_set_dfas(draw):
 
 def assert_cover_search_agrees(dm, budgets):
     n = dm.n_states
+    conflict = _orientation_conflict(dm)
     for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 1):
         for budget in budgets:
             got, want = [budget], [budget]
-            assert _find_monotone_cover(dm, length, got) == classify_reference.find_monotone_cover(dm, length, want)
+            labels = _find_monotone_cover(dm, length, got)
+            assert labels == classify_reference.find_monotone_cover(dm, length, want)
             assert got == want
+            # an orientation conflict rules out every order of the minimal
+            # automaton, which is what a chain of length n is
+            assert not (conflict and length == n and labels is not None)
+    if conflict and n <= 9:
+        # up to 9 states the search at length n ends well within 10**8
+        # label trials, so it is complete there and must find nothing
+        nodes = [10**8]
+        assert _find_monotone_cover(dm, n, nodes) is None
+        assert nodes[0] > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -170,6 +183,43 @@ def test_transition_monoid_agrees_with_reference(d, cap):
             assert str(got.value) == str(want.value)
         else:
             assert len(TransitionMonoid.from_dfa(dfa, cap)) == len(elements)
+
+
+EAGER_ROUTES = {
+    "ORD": classify_reference.is_orderable,
+    "NC": classify_reference.is_noncounting,
+    "PS": classify_reference.is_power_separating,
+}
+
+
+def eager_verdict(tag, dfa, cap=classify_reference.MONOID_CAP):
+    try:
+        return EAGER_ROUTES[tag](dfa, cap)
+    except InputError as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(*(dfas(8, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc"))), st.integers(1, 60))
+def test_witness_first_routes_agree_with_the_eager_routes(d, cap):
+    """ORD, NC and PS on one lazily built monoid with a drawn cap, in report
+    order, give the eager routes' whole verdicts wherever those finish.
+    Where the eager route hits the cap, the lazy one raises the same error
+    or gives the "no" of the eager route without that cap."""
+    capped = {tag: eager_verdict(tag, d, cap) for tag in EAGER_ROUTES}
+    uncapped = {tag: eager_verdict(tag, d) if isinstance(v, InputError) else v for tag, v in capped.items()}
+    for dfa in (d, minimize(d)):
+        monoid = TransitionMonoid(minimize(dfa), cap)
+        for tag in ("ORD", "NC", "PS"):
+            want = capped[tag]
+            try:
+                got = decide_family(tag, dfa, monoid)
+            except InputError as exc:
+                assert isinstance(want, InputError) and str(exc) == str(want)
+                continue
+            if isinstance(want, InputError):
+                assert got.value == "no"
+            assert got == uncapped[tag]
 
 
 @SETTINGS
