@@ -228,28 +228,61 @@ def _renumber(d: Dfa, minimal: bool = False) -> Dfa:
 def minimize(d: Dfa) -> Dfa:
     """Language-equivalent minimal complete DFA with canonical numbering.
 
+    Hopcroft's partition refinement (1971) on the reachable part: a
+    splitter (block, symbol) splits every block that its predecessors cut,
+    and of the two halves of a split block only the smaller one need be
+    queued as a new splitter, so the work is O(n |V| log n).  The classes
+    are then numbered by `_renumber`, which makes the result unique.
     Idempotent: minimize(minimize(d)) == minimize(d) exactly.
     """
     reach = sorted(reachable_states(d))
     remap = {q: i for i, q in enumerate(reach)}
-    trans = [[remap[d.transitions[q][i]] for i in range(len(d.alphabet))] for q in reach]
+    n_sym = len(d.alphabet)
+    trans = [[remap[d.transitions[q][i]] for i in range(n_sym)] for q in reach]
     acc = {remap[q] for q in d.accepting if q in remap}
     n = len(reach)
 
-    # Moore partition refinement with hashed signatures.
-    cls = [1 if q in acc else 0 for q in range(n)]
-    n_sym = len(d.alphabet)
-    while True:
-        sigs: dict[tuple, int] = {}
-        new_cls = [0] * n
-        for q in range(n):
-            sig = (cls[q],) + tuple(cls[trans[q][i]] for i in range(n_sym))
-            new_cls[q] = sigs.setdefault(sig, len(sigs))
-        if new_cls == cls:
-            break
-        cls = new_cls
+    # preds[i][q]: the states that symbol i takes to q
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n_sym)]
+    for p in range(n):
+        for i in range(n_sym):
+            preds[i][trans[p][i]].append(p)
+    blocks = [b for b in (set(acc), set(range(n)) - acc) if b]
+    cls = [0] * n
+    for b, members in enumerate(blocks):
+        for q in members:
+            cls[q] = b
+    # with two blocks, splitting by one of them splits by the other too
+    smaller = min(range(len(blocks)), key=lambda b: len(blocks[b]))
+    work = [(smaller, i) for i in range(n_sym)] if len(blocks) == 2 else []
+    pending = set(work)
+    while work:
+        splitter = work.pop()
+        pending.discard(splitter)
+        b, i = splitter
+        hit: dict[int, list[int]] = {}
+        for q in blocks[b]:
+            for p in preds[i][q]:
+                hit.setdefault(cls[p], []).append(p)
+        for c, moved in hit.items():
+            rest = blocks[c]
+            if len(moved) == len(rest):
+                continue
+            new = len(blocks)
+            rest.difference_update(moved)
+            blocks.append(set(moved))
+            for p in moved:
+                cls[p] = new
+            for j in range(n_sym):
+                # a queued (c, j) now stands for the rest; else queue the smaller half
+                if (c, j) not in pending and len(rest) < len(moved):
+                    split = (c, j)
+                else:
+                    split = (new, j)
+                pending.add(split)
+                work.append(split)
 
-    k = max(cls) + 1
+    k = len(blocks)
     new_trans = [[0] * n_sym for _ in range(k)]
     for q in range(n):
         for i in range(n_sym):

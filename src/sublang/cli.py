@@ -7,6 +7,7 @@ failed (difference found, lemma failed), 2 = input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .automata import Alphabet, InputError, enumerate_upto
@@ -231,9 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

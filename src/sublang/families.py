@@ -652,6 +652,9 @@ class TransitionMonoid:
         self._cap = cap
         # next (element, letter) product of the search
         self._cursor = (0, 0)
+        # per element read by `counters`: None if its power cycle has
+        # period 1, else (tail, period, mixed)
+        self._cycles: list[tuple[int, int, bool] | None] = []
 
     @classmethod
     def from_dfa(cls, d: Dfa, cap: int = _MONOID_CAP) -> "TransitionMonoid":
@@ -698,6 +701,26 @@ class TransitionMonoid:
         self._grow()
         return len(self.elements)
 
+    def counters(self):
+        """(word, tail, period, mixed) of each element whose power cycle
+        has period > 1, in search order; `mixed` tells whether acceptance
+        from the start state changes along the cycle.  It reads the monoid
+        lazily like `__iter__`, and walks each element's power cycle once
+        however many readers go past it."""
+        cycles = self._cycles
+        start, accepting = self.dfa.start, self.dfa.accepting
+        for i, (t, word) in enumerate(self):
+            if i == len(cycles):
+                powers, tail, period = _power_cycle(t)
+                if period == 1:
+                    cycles.append(None)
+                else:
+                    verdicts = {ord(powers[e - 1][start]) in accepting for e in range(tail, tail + period)}
+                    cycles.append((tail, period, len(verdicts) > 1))
+            cycle = cycles[i]
+            if cycle is not None:
+                yield (word, *cycle)
+
 
 def _power_cycle(t: str) -> tuple[list[str], int, int]:
     """Powers t^1, t^2, ... until repetition; returns (powers, tail, period).
@@ -727,13 +750,11 @@ def is_noncounting(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     """
     dm = d if d.minimal else minimize(d)
     m = monoid if monoid is not None else TransitionMonoid(dm)
-    for t, word in m:
-        _, _, period = _power_cycle(t)
-        if period > 1:
-            return _no(
-                f"word {_fmt(word)} has eventual period {period}",
-                payload=(word, period),
-            )
+    for word, _, period, _ in m.counters():
+        return _no(
+            f"word {_fmt(word)} has eventual period {period}",
+            payload=(word, period),
+        )
     return _yes(f"aperiodic transition monoid (size {len(m)})", payload=len(m))
 
 
@@ -747,12 +768,9 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     """
     dm = d if d.minimal else minimize(d)
     m = monoid if monoid is not None else TransitionMonoid(dm)
-    for t, word in m:
-        powers, tail, period = _power_cycle(t)
-        verdicts = {
-            ord(powers[e - 1][dm.start]) in dm.accepting for e in range(tail, tail + period)
-        }
-        if len(verdicts) > 1:
+    # a cycle of period 1 cannot mix, so only the counters need a look
+    for word, tail, period, mixed in m.counters():
+        if mixed:
             return _no(
                 f"powers of {_fmt(word)} mix accept/reject on their cycle "
                 f"(cycle start {tail}, period {period})",

@@ -54,64 +54,57 @@ _META = set("|*()_")
 
 
 def parse_regex(text: str) -> RegexAst:
-    """Recursive-descent parser for the surface syntax above."""
+    """Parser for the surface syntax above.
+
+    Union is left-associative and binds loosest, then concatenation (also
+    left-associative), then postfix star.  Each open parenthesis saves the
+    enclosing group's partial union and product on an explicit stack, so
+    nesting depth is not bounded by Python's recursion limit.
+    """
     src = [c for c in text if not c.isspace()]
-    pos = 0
-
-    def peek() -> str | None:
-        return src[pos] if pos < len(src) else None
-
-    def union_expr() -> RegexAst:
-        nonlocal pos
-        node = concat_expr()
-        while peek() == "|":
-            pos += 1
-            node = Union(node, concat_expr())
-        return node
-
-    def concat_expr() -> RegexAst:
-        nonlocal pos
-        node = starred()
-        while True:
-            c = peek()
-            if c is None or c in "|)":
-                return node
-            node = Concat(node, starred())
-
-    def starred() -> RegexAst:
-        nonlocal pos
-        node = base()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def base() -> RegexAst:
-        nonlocal pos
-        c = peek()
-        if c is None:
-            raise InputError(f"unexpected end of expression in {text!r}")
-        if c == "(":
-            pos += 1
-            node = union_expr()
-            if peek() != ")":
-                raise InputError(f"unbalanced parenthesis in {text!r}")
-            pos += 1
-            return node
-        if c == "_":
-            pos += 1
-            return Epsilon()
-        if c in _META:
-            raise InputError(f"unexpected {c!r} at position {pos} in {text!r}")
-        pos += 1
-        return Sym(c)
-
     if not src:
         raise InputError("empty regular expression")
-    node = union_expr()
-    if pos != len(src):
-        raise InputError(f"trailing input at position {pos} in {text!r}")
-    return node
+    n = len(src)
+    pos = 0
+    groups: list[tuple[RegexAst | None, RegexAst | None]] = []
+    alts: RegexAst | None = None  # union of the finished alternatives of the group
+    seq: RegexAst | None = None  # product of the finished factors of the alternative
+    while True:
+        c = src[pos] if pos < n else None
+        if c == "(":
+            groups.append((alts, seq))
+            alts = seq = None
+            pos += 1
+            continue
+        if c is None:
+            raise InputError(f"unexpected end of expression in {text!r}")
+        if c in _META and c != "_":
+            raise InputError(f"unexpected {c!r} at position {pos} in {text!r}")
+        node: RegexAst = Epsilon() if c == "_" else Sym(c)
+        pos += 1
+        while True:
+            while pos < n and src[pos] == "*":
+                node = Star(node)
+                pos += 1
+            seq = node if seq is None else Concat(seq, node)
+            c = src[pos] if pos < n else None
+            if c is not None and c not in "|)":
+                break  # the next factor of this alternative
+            alts = seq if alts is None else Union(alts, seq)
+            seq = None
+            if c == "|":
+                pos += 1
+                break  # the first factor of the next alternative
+            if not groups:
+                if c is None:
+                    return alts
+                raise InputError(f"trailing input at position {pos} in {text!r}")
+            if c is None:
+                raise InputError(f"unbalanced parenthesis in {text!r}")
+            # the group closes and is a factor of the enclosing alternative
+            pos += 1
+            node = alts
+            alts, seq = groups.pop()
 
 
 def _postorder(ast: RegexAst):

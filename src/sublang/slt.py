@@ -11,7 +11,6 @@ are listed among the short words.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import (
@@ -20,9 +19,12 @@ from .automata import (
     InputError,
     MAX_WORD_SPACE,
     are_equivalent,
+    coaccessible_states,
     enumerate_upto,
     factor_sets,
+    least_word,
     minimize,
+    reachable_states,
 )
 
 
@@ -102,71 +104,159 @@ def slt_membership(rep: SltRep, word: str) -> bool:
     return True
 
 
+# Window-automaton nodes: (u, _SHORT) after a short word u (|u| < k);
+# (w, _FIRST) after exactly k symbols, w being the prefix window; (w, _LATER)
+# after more than k symbols, w being the last window; _DEAD once no
+# extension can be accepted.
+_SHORT, _FIRST, _LATER = 0, 1, 2
+_DEAD = ("", -1)
+
+
+class _RepWindows:
+    """Membership tests of a window-set representation."""
+
+    def __init__(self, rep: SltRep) -> None:
+        self.short = rep.short_words.__contains__
+        self.prefix = rep.prefixes.__contains__
+        self.interior = rep.interiors.__contains__
+        self.suffix = rep.suffixes.__contains__
+        # a short word is live iff it begins a short word or a prefix window
+        live = {w[:j] for w in rep.short_words | rep.prefixes for j in range(len(w) + 1)}
+        self.live = live.__contains__
+
+
+class _LanguageWindows:
+    """The same tests for the canonical window sets of L(d) at any width,
+    read off d on demand with the definitions `factor_sets` uses: w is a
+    prefix window iff d(s, w) is coaccessible, an interior window iff the
+    image of reach+ under w meets coacc+, and a suffix window iff the image
+    of the reachable states under w meets the accepting states.  The short
+    words are d's own, and a short word u is live iff d(s, u) is
+    coaccessible."""
+
+    def __init__(self, d: Dfa) -> None:
+        self._d = d
+        reach = reachable_states(d)
+        self._coacc = coacc = coaccessible_states(d)
+        self._reach = reach
+        self._reach_plus = {t for q in reach for t in d.transitions[q]}
+        self._coacc_plus = {
+            q for q in range(d.n_states) if any(t in coacc for t in d.transitions[q])
+        }
+        self._states = {"": d.start}  # d(s, u) of the short words asked about
+        self._interiors: dict[str, bool] = {}
+        self._suffixes: dict[str, bool] = {}
+
+    def _image(self, states: set[int], w: str) -> set[int]:
+        trans = self._d.transitions
+        index = self._d.alphabet.index
+        for c in w:
+            i = index(c)
+            states = {trans[q][i] for q in states}
+        return states
+
+    def _state(self, u: str) -> int:
+        # the window automaton asks about u only once it holds u[:-1]
+        q = self._states.get(u)
+        if q is None:
+            d = self._d
+            q = self._states[u] = d.transitions[self._states[u[:-1]]][d.alphabet.index(u[-1])]
+        return q
+
+    def short(self, u: str) -> bool:
+        return self._state(u) in self._d.accepting
+
+    def live(self, u: str) -> bool:
+        return self._state(u) in self._coacc
+
+    prefix = live
+
+    def interior(self, w: str) -> bool:
+        hit = self._interiors.get(w)
+        if hit is None:
+            hit = self._interiors[w] = not self._image(self._reach_plus, w).isdisjoint(self._coacc_plus)
+        return hit
+
+    def suffix(self, w: str) -> bool:
+        hit = self._suffixes.get(w)
+        if hit is None:
+            hit = self._suffixes[w] = not self._image(self._reach, w).isdisjoint(self._d.accepting)
+        return hit
+
+
+class _WindowAutomaton:
+    """The sliding-window automaton of a window-set language, numbered as
+    it is explored: node 0 is the dead sink and node 1 the start.  `step`
+    builds each move on first use from the membership tests of `sets`."""
+
+    def __init__(self, k: int, alphabet: Alphabet, sets) -> None:
+        self._k = k
+        self._symbols = alphabet.symbols
+        self._sets = sets
+        self._index = {_DEAD: 0}
+        self.nodes = [_DEAD]
+        self.rows: list[list[int | None]] = [[0] * len(alphabet)]
+        self.accepting = [False]
+        self.start = self._add(("", _SHORT))
+
+    def _add(self, node: tuple[str, int]) -> int:
+        q = self._index[node] = len(self.nodes)
+        self.nodes.append(node)
+        self.rows.append([None] * len(self._symbols))
+        w, kind = node
+        self.accepting.append(self._sets.short(w) if kind == _SHORT else self._sets.suffix(w))
+        return q
+
+    def step(self, q: int, i: int) -> int:
+        t = self.rows[q][i]
+        if t is None:
+            node = self._successor(self.nodes[q], self._symbols[i])
+            t = self._index.get(node)
+            if t is None:
+                t = self._add(node)
+            self.rows[q][i] = t
+        return t
+
+    def _successor(self, node: tuple[str, int], a: str) -> tuple[str, int]:
+        sets = self._sets
+        w, kind = node
+        if kind == _SHORT:
+            w += a
+            if len(w) < self._k:
+                return (w, _SHORT) if sets.live(w) else _DEAD
+            return (w, _FIRST) if sets.prefix(w) else _DEAD
+        # the window w now has a symbol on each side, so it is interior
+        if kind == _LATER and not sets.interior(w):
+            return _DEAD
+        return (w[1:] + a, _LATER)
+
+
+def _check_window_space(alphabet: Alphabet, k: int) -> None:
+    if len(alphabet) ** k > MAX_WORD_SPACE:
+        raise InputError(f"window space |V|^{k} too large")
+
+
 def slt_to_dfa(rep: SltRep) -> Dfa:
     """Minimal DFA accepting exactly the represented language.
 
-    Sliding-window construction: short words are tracked by a prefix trie;
-    for long words the state carries the most recent window plus whether
-    that window is still the word's own prefix.
+    Sliding-window construction: a state is a short word, or the most
+    recent window plus whether that window is still the word's own prefix.
+    Short words that begin no short word and no prefix window go straight
+    to the dead state.
     """
-    alphabet = rep.alphabet
-    n_sym = len(alphabet)
-    if n_sym ** rep.k > MAX_WORD_SPACE:
-        raise InputError(f"window space |V|^{rep.k} too large")
-    k = rep.k
-
-    index: dict[object, int] = {}
-    trans: list[list[int]] = []
-    accepting: set[int] = set()
-
-    def state(desc: object, accept: bool) -> int:
-        if desc not in index:
-            index[desc] = len(index)
-            trans.append([-1] * n_sym)
-            if accept:
-                accepting.add(index[desc])
-        return index[desc]
-
-    dead = state("dead", False)
-    for i in range(n_sym):
-        trans[dead][i] = dead
-    start = state(("short", ""), "" in rep.short_words)
-    queue = deque([("short", "")])
-    seen = {("short", ""), "dead"}
-    while queue:
-        desc = queue.popleft()
-        q = index[desc]
-        kind = desc[0]
-        for i, a in enumerate(alphabet):
-            if kind == "short":
-                w = desc[1] + a
-                if len(w) < k:
-                    nxt = ("short", w)
-                    t = state(nxt, w in rep.short_words)
-                elif w in rep.prefixes:
-                    nxt = ("long", w, True)
-                    t = state(nxt, w in rep.suffixes)
-                else:
-                    trans[q][i] = dead
-                    continue
-            else:
-                _, window, is_prefix = desc
-                if not is_prefix and window not in rep.interiors:
-                    trans[q][i] = dead
-                    continue
-                w = window[1:] + a
-                nxt = ("long", w, False)
-                t = state(nxt, w in rep.suffixes)
-            trans[q][i] = t
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    _check_window_space(rep.alphabet, rep.k)
+    auto = _WindowAutomaton(rep.k, rep.alphabet, _RepWindows(rep))
+    q = 0
+    while q < len(auto.rows):
+        for i in range(len(rep.alphabet)):
+            auto.step(q, i)
+        q += 1
     raw = Dfa(
-        alphabet,
-        len(trans),
-        start,
-        frozenset(accepting),
-        tuple(tuple(r) for r in trans),
+        rep.alphabet,
+        len(auto.rows),
+        auto.start,
+        frozenset(q for q, acc in enumerate(auto.accepting) if acc),
+        tuple(tuple(r) for r in auto.rows),  # type: ignore[misc]
     )
     return minimize(raw)
 
@@ -193,12 +283,34 @@ class SltKResult:
 
 
 def is_slt_k(d: Dfa, k: int) -> SltKResult:
-    """Exact decision of strict local k-testability via the canonical sets."""
+    """Exact decision of strict local k-testability.
+
+    L is k-testable iff it equals the language of its canonical window sets
+    (`canonical_rep`).  One length-lex walk over pairs (window-automaton
+    node, state of d) compares the two, reading the window sets off d as it
+    goes, so a "no" visits only the words up to its witness: the length-lex
+    least word in the symmetric difference, as `are_equivalent` names it.
+    Only a "yes" builds the canonical sets, and it checks them once more
+    through `slt_to_dfa` and `are_equivalent`.
+    """
+    if k < 1:
+        raise InputError("window length must be >= 1")
+    _check_window_space(d.alphabet, k)
+    auto = _WindowAutomaton(k, d.alphabet, _LanguageWindows(d))
+    trans, accepting = d.transitions, d.accepting
+    witness = least_word(
+        d.alphabet.symbols,
+        [(auto.start, d.start)],
+        lambda pair, i: ((auto.step(pair[0], i), trans[pair[1]][i]),),
+        lambda pair: auto.accepting[pair[0]] != (pair[1] in accepting),
+    )
+    if witness is not None:
+        return SltKResult(False, None, witness)
     rep = canonical_rep(d, k)
     eq = are_equivalent(slt_to_dfa(rep), d)
-    if eq.equal:
-        return SltKResult(True, rep, None)
-    return SltKResult(False, None, eq.witness)
+    if not eq.equal:  # pragma: no cover - the walk compared the same languages
+        raise RuntimeError(f"canonical window sets disagree with the walk at {eq.witness!r}")
+    return SltKResult(True, rep, None)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sublang
 from sublang.cli import main
 from sublang.formats import parse_slt_text
 
@@ -121,7 +124,11 @@ def test_classify_reports_the_monoid_cap(capsys, tmp_path):
     assert err == "error: transition monoid too large for desk-scale analysis\n"
 
 
-@pytest.mark.parametrize("expr", ["a*" * 1200, "a|" * 1199 + "a"], ids=["1200-stars", "1200-unions"])
+@pytest.mark.parametrize(
+    "expr",
+    ["a*" * 1200, "a|" * 1199 + "a", "(" * 1200 + "a" + ")" * 1200],
+    ids=["1200-stars", "1200-unions", "1200-parens"],
+)
 def test_classify_deep_regex_trees_do_not_recurse(capsys, expr):
     code, out, err = run(capsys, "classify", "--porcelain", "--input", f"regex:{expr}", "--alphabet", "a")
     assert (code, err) == (0, "")
@@ -310,3 +317,29 @@ def test_outputs_stable_across_runs(capsys, dyck_path):
     _, first, _ = run(capsys, "generate", "--grammar", dyck_path, "--mode", "in", "--max-len", "8")
     _, second, _ = run(capsys, "generate", "--grammar", dyck_path, "--mode", "in", "--max-len", "8")
     assert first == second
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # main() reuses one argument parser; a run of calls in one process,
+    # an argparse error among them, prints what separate processes print
+    src = os.path.dirname(os.path.dirname(sublang.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [
+        ["classify", "--porcelain", "--input", "regex:a|ab*a"],
+        ["classify", "--porcelain", "--k-max", "x", "--input", "regex:a"],
+        ["verify", "--lemma", "l-abna"],
+        ["classify", "--porcelain", "--input", "regex:a|ab*a"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sublang.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]

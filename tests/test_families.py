@@ -6,6 +6,8 @@ import pytest
 
 from conftest import all_words, random_dfa
 
+from sublang import families
+
 from sublang.automata import (
     Alphabet,
     Dfa,
@@ -310,6 +312,19 @@ def test_monoid_is_built_only_as_far_as_the_answer_needs():
     m = TransitionMonoid(chain, cap=40)
     assert is_noncounting(chain, m).payload == 40
     assert m.elements == TransitionMonoid.from_dfa(chain).elements
+
+
+def test_classify_walks_each_power_cycle_once(monkeypatch):
+    # ORD, NC and PS read the power cycles of one shared monoid
+    d = compile_regex("(a|b)*abb(a|b)*|ba*", AB)
+    elements = TransitionMonoid.from_dfa(minimize(d)).elements
+    walked = []
+    power_cycle = families._power_cycle
+    monkeypatch.setattr(families, "_power_cycle", lambda t: (walked.append(t), power_cycle(t))[1])
+    report = classify(d)
+    assert report.verdict("NC").value == report.verdict("PS").value == "yes"
+    assert len(elements) > 10
+    assert sorted(walked) == sorted(elements)
 
 
 def test_orientation_conflict_settles_length_n():

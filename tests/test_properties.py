@@ -3,6 +3,7 @@ on random machines and grammars."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 import classify_reference
 import closure_reference
 import generation_reference
+import slt_reference
 from conftest import all_words, brute_accepted, random_regex_ast
 
+from sublang import slt
 from sublang.automata import (
     Alphabet,
     Dfa,
     InputError,
+    MAX_WORD_SPACE,
     are_equivalent,
     complement,
     difference,
@@ -46,6 +50,7 @@ from sublang.grammars import (
     internal_successors,
 )
 from sublang.slt import canonical_rep, make_rep, slt_membership, slt_to_dfa
+from sublang.witnesses import build_witness, default_witness_ids
 
 AB = Alphabet.of("ab")
 
@@ -285,6 +290,76 @@ def test_canonical_rep_membership_routes_agree(d, k):
         assert not slt_membership(rep, w)
     for w in enumerate_upto(compiled, 6):
         assert slt_membership(rep, w)
+
+
+UP_TO_9_STATES = st.one_of(*(dfas(9, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc")))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(UP_TO_9_STATES, st.booleans(), st.integers(1, 6))
+def test_slt_walk_agrees_with_construct_and_compare(d, minimal, k):
+    """The witness-first walk gives the whole SltKResult (verdict,
+    certificate, witness) of building the canonical window automaton and
+    comparing it with the input, on raw and minimal DFAs (|V|^k <= 729)."""
+    dfa = minimize(d) if minimal else d
+    assert slt.is_slt_k(dfa, k) == slt_reference.is_slt_k(dfa, k)
+
+
+@SETTINGS
+@given(st.one_of(dfas(4), dfas(4, Alphabet.of("abc"))), st.sampled_from(("zero", "negative", "too wide")))
+def test_slt_walk_raises_the_errors_of_construct_and_compare(d, case):
+    v = len(d.alphabet)
+    wide = next(k for k in itertools.count(1) if v**k > MAX_WORD_SPACE)
+    k = {"zero": 0, "negative": -1, "too wide": wide}[case]
+    with pytest.raises(InputError) as new:
+        slt.is_slt_k(d, k)
+    with pytest.raises(InputError) as old:
+        slt_reference.is_slt_k(d, k)
+    assert str(new.value) == str(old.value)
+
+
+def witness_selectors():
+    for wid in default_witness_ids():
+        built = build_witness(wid)
+        if isinstance(built, ContextualGrammar):
+            yield from ((wid, pair.selector.dfa) for pair in built.pairs)
+        else:
+            yield wid, built.dfa
+
+
+def test_slt_sweeps_of_witness_selectors_agree_with_construct_and_compare():
+    for wid, d in witness_selectors():
+        with mock.patch.object(slt, "is_slt_k", slt_reference.is_slt_k):
+            expected = slt.infer_slt(d, 10)
+        assert slt.infer_slt(d, 10) == expected, wid
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(*(dfas(12, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc"))))
+def test_hopcroft_minimize_agrees_with_moore(d):
+    # a drawn start state leaves part of the states unreachable
+    assert minimize(d) == slt_reference.minimize(d)
+
+
+def raw_window_automaton(rep):
+    """The automaton `slt_to_dfa` builds before minimizing it."""
+    raw = []
+    with mock.patch.object(slt, "minimize", side_effect=lambda d: raw.append(d) or d):
+        slt_to_dfa(rep)
+    return raw[0]
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        window_reps(),
+        window_reps(symbols="abc"),
+        st.builds(canonical_rep, dfas(6, Alphabet.of("abc")), st.integers(1, 4)),
+    )
+)
+def test_hopcroft_minimize_agrees_with_moore_on_window_automata(rep):
+    raw = raw_window_automaton(rep)
+    assert minimize(raw) == slt_reference.minimize(raw)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

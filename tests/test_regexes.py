@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import regex_reference
 from conftest import all_words, ast_match, random_regex_ast
 
 from sublang.automata import Alphabet, InputError
@@ -34,6 +38,25 @@ def test_parse_errors():
     for bad in ("", "(", "a|", "*a", "a)"):
         with pytest.raises(InputError):
             parse_regex(bad)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text("ab_|*() ", max_size=24),
+        st.integers(0, 10**6).map(lambda seed: render_regex(random_regex_ast(random.Random(seed), depth=5))),
+    )
+)
+def test_parser_agrees_with_recursive_reference(text):
+    # same tree, or the same error message with the same position
+    assert parse_outcome(parse_regex, text) == parse_outcome(regex_reference.parse_regex, text)
 
 
 def test_render_roundtrip_fixed():
