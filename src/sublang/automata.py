@@ -20,6 +20,12 @@ class InputError(ValueError):
     """Bad user-supplied input (maps to CLI exit code 2)."""
 
 
+def check_window_space(alphabet: Alphabet, k: int) -> None:
+    """Refuse a window length k whose |V|**k windows exceed MAX_WORD_SPACE."""
+    if len(alphabet) ** k > MAX_WORD_SPACE:
+        raise InputError(f"window space |V|^{k} too large")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of single-character symbols.
@@ -153,21 +159,29 @@ def reachable_states(d: Dfa) -> set[int]:
     return seen
 
 
+def accept_distances(d: Dfa) -> list[int | None]:
+    """The fewest steps from each state to an accepting state, or None for
+    a state that reaches none: a breadth-first search backward from the
+    accepting states over the reversed transitions."""
+    rev: list[list[int]] = [[] for _ in range(d.n_states)]
+    for q, row in enumerate(d.transitions):
+        for t in row:
+            rev[t].append(q)
+    dist: list[int | None] = [None] * d.n_states
+    queue = list(d.accepting)
+    for q in queue:
+        dist[q] = 0
+    for q in queue:  # the queue grows behind this loop, level by level
+        for p in rev[q]:
+            if dist[p] is None:
+                dist[p] = dist[q] + 1  # type: ignore[operator]
+                queue.append(p)
+    return dist
+
+
 def coaccessible_states(d: Dfa) -> set[int]:
     """States from which some accepting state is reachable."""
-    rev: list[list[int]] = [[] for _ in range(d.n_states)]
-    for q in range(d.n_states):
-        for t in d.transitions[q]:
-            rev[t].append(q)
-    seen = set(d.accepting)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+    return {q for q, n in enumerate(accept_distances(d)) if n is not None}
 
 
 def is_empty_language(d: Dfa) -> bool:
@@ -206,23 +220,37 @@ def least_word(symbols, starts, succ, is_target) -> str | None:
     return None
 
 
+def explore(start, succ, n_sym: int) -> tuple[list, list[tuple[int, ...]]]:
+    """Number the nodes reachable from `start` in breadth-first discovery order.
+
+    `succ(node, i)` is the node that symbol i leads to; each node's moves
+    are taken in alphabet order.  Returns (nodes, rows): nodes[j] is the
+    node numbered j (nodes[0] is `start`) and rows[j][i] the number of
+    succ(nodes[j], i), so the rows form the transition table of the
+    explored automaton.
+    """
+    index = {start: 0}
+    nodes = [start]
+    rows = []
+    for node in nodes:  # nodes grows behind this loop: it is the BFS queue
+        row = []
+        for i in range(n_sym):
+            t = succ(node, i)
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(nodes)
+                nodes.append(t)
+            row.append(j)
+        rows.append(tuple(row))
+    return nodes, rows
+
+
 def _renumber(d: Dfa, minimal: bool = False) -> Dfa:
     """Canonical state numbering: BFS from the start in alphabet order."""
-    order: dict[int, int] = {d.start: 0}
-    queue = deque([d.start])
-    while queue:
-        q = queue.popleft()
-        for t in d.transitions[q]:
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    n = len(order)
-    trans = [[0] * len(d.alphabet) for _ in range(n)]
-    for q, new_q in order.items():
-        for i in range(len(d.alphabet)):
-            trans[new_q][i] = order[d.transitions[q][i]]
-    accepting = frozenset(order[q] for q in d.accepting if q in order)
-    return Dfa(d.alphabet, n, 0, accepting, tuple(tuple(r) for r in trans), minimal)
+    trans = d.transitions
+    old, rows = explore(d.start, lambda q, i: trans[q][i], len(d.alphabet))
+    accepting = frozenset(j for j, q in enumerate(old) if q in d.accepting)
+    return Dfa(d.alphabet, len(old), 0, accepting, tuple(rows), minimal)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -235,12 +263,10 @@ def minimize(d: Dfa) -> Dfa:
     are then numbered by `_renumber`, which makes the result unique.
     Idempotent: minimize(minimize(d)) == minimize(d) exactly.
     """
-    reach = sorted(reachable_states(d))
-    remap = {q: i for i, q in enumerate(reach)}
     n_sym = len(d.alphabet)
-    trans = [[remap[d.transitions[q][i]] for i in range(n_sym)] for q in reach]
-    acc = {remap[q] for q in d.accepting if q in remap}
-    n = len(reach)
+    old, trans = explore(d.start, lambda q, i: d.transitions[q][i], n_sym)
+    acc = {j for j, q in enumerate(old) if q in d.accepting}
+    n = len(old)
 
     # preds[i][q]: the states that symbol i takes to q
     preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n_sym)]
@@ -282,18 +308,9 @@ def minimize(d: Dfa) -> Dfa:
                 pending.add(split)
                 work.append(split)
 
-    k = len(blocks)
-    new_trans = [[0] * n_sym for _ in range(k)]
-    for q in range(n):
-        for i in range(n_sym):
-            new_trans[cls[q]][i] = cls[trans[q][i]]
-    merged = Dfa(
-        d.alphabet,
-        k,
-        cls[remap[d.start]],
-        frozenset(cls[q] for q in acc),
-        tuple(tuple(r) for r in new_trans),
-    )
+    # the states of a block agree on every move, so any one stands for it
+    rows = tuple(tuple(cls[t] for t in trans[next(iter(b))]) for b in blocks)
+    merged = Dfa(d.alphabet, len(blocks), cls[0], frozenset(cls[q] for q in acc), rows)
     return _renumber(merged, minimal=True)
 
 
@@ -312,24 +329,12 @@ def complement(d: Dfa) -> Dfa:
 
 def _product(l1: Dfa, l2: Dfa, keep: "callable") -> Dfa:
     _require_same_alphabet(l1, l2)
-    n_sym = len(l1.alphabet)
-    index: dict[tuple[int, int], int] = {(l1.start, l2.start): 0}
-    queue = deque([(l1.start, l2.start)])
-    trans: list[list[int]] = []
-    pairs: list[tuple[int, int]] = [(l1.start, l2.start)]
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for i in range(n_sym):
-            t = (l1.transitions[p][i], l2.transitions[q][i])
-            if t not in index:
-                index[t] = len(index)
-                pairs.append(t)
-                queue.append(t)
-            row.append(index[t])
-        trans.append(row)
+    t1, t2 = l1.transitions, l2.transitions
+    pairs, rows = explore(
+        (l1.start, l2.start), lambda pair, i: (t1[pair[0]][i], t2[pair[1]][i]), len(l1.alphabet)
+    )
     accepting = frozenset(i for i, (p, q) in enumerate(pairs) if keep(p in l1.accepting, q in l2.accepting))
-    return Dfa(l1.alphabet, len(pairs), 0, accepting, tuple(tuple(r) for r in trans))
+    return Dfa(l1.alphabet, len(pairs), 0, accepting, tuple(rows))
 
 
 def intersect(l1: Dfa, l2: Dfa) -> Dfa:
@@ -388,23 +393,7 @@ def enumerate_upto(d: Dfa, n: int) -> list[str]:
     """
     if n < 0:
         raise InputError("length bound must be >= 0")
-    # min #steps from each state to an accepting state (None = dead)
-    dist: list[int | None] = [None] * d.n_states
-    rev: list[list[int]] = [[] for _ in range(d.n_states)]
-    for q in range(d.n_states):
-        for t in d.transitions[q]:
-            rev[t].append(q)
-    queue = deque()
-    for q in d.accepting:
-        dist[q] = 0
-        queue.append(q)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if dist[p] is None:
-                dist[p] = dist[q] + 1  # type: ignore[operator]
-                queue.append(p)
-
+    dist = accept_distances(d)
     out: list[str] = []
     level: list[tuple[str, int]] = [("", d.start)]
     if dist[d.start] is None:
@@ -429,53 +418,70 @@ def enumerate_upto(d: Dfa, n: int) -> list[str]:
     return out
 
 
+def find_cycle(symbols, roots, succ) -> tuple[object, str] | None:
+    """A cycle in the part of a graph reachable from `roots`, or None.
+
+    `succ(node, i)` is the node that symbols[i] leads to, or None where the
+    graph has no such move.  An iterative depth-first search starts from
+    each root not yet visited, in the given order, and takes moves in
+    alphabet order; the first move back to a node on its stack closes the
+    cycle.  Returns (node, word): that node and the word that leads from it
+    around the cycle back to it.
+    """
+    color: dict = {}  # 1 while a node is on the stack, 2 once it is done
+    parent: dict = {}  # node -> (the node it was found from, the symbol)
+    n_sym = len(symbols)
+    for root in roots:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, 0)]
+        while stack:
+            node, i = stack[-1]
+            if i == n_sym:
+                color[node] = 2
+                stack.pop()
+                continue
+            stack[-1] = (node, i + 1)
+            t = succ(node, i)
+            if t is None:
+                continue
+            c = color.get(t)
+            if c is None:
+                color[t] = 1
+                parent[t] = (node, symbols[i])
+                stack.append((t, 0))
+            elif c == 1:
+                # the stack path t ->* node, then symbols[i] back to t
+                parts = [symbols[i]]
+                while node != t:
+                    node, a = parent[node]
+                    parts.append(a)
+                return t, "".join(reversed(parts))
+    return None
+
+
+def _trim_cycle(d: Dfa, trim: set[int]) -> tuple[int, str] | None:
+    """A cycle of d through trim states only, searched from them in order."""
+    trans = d.transitions
+
+    def succ(q: int, i: int) -> int | None:
+        t = trans[q][i]
+        return t if t in trim else None
+
+    return find_cycle(d.alphabet.symbols, sorted(trim), succ)
+
+
 def find_pump(d: Dfa) -> tuple[str, str, str] | None:
     """A decomposition (u, v, w) with u v^i w accepted for all i, if one exists.
 
     Exists iff the language is infinite, since only trim states can carry
     a productive cycle.
     """
-    reach = reachable_states(d)
-    coacc = coaccessible_states(d)
-    trim = reach & coacc
-    # Find a cycle inside the trim part via iterative DFS.
-    color = {q: 0 for q in trim}  # 0 white, 1 on stack, 2 done
-    edge_to: dict[int, tuple[int, str]] = {}
-    cycle_entry: tuple[int, int, str] | None = None  # (from, to, symbol)
-    for root in sorted(trim):
-        if color[root] != 0:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack and cycle_entry is None:
-            q, i = stack[-1]
-            if i == len(d.alphabet):
-                color[q] = 2
-                stack.pop()
-                continue
-            stack[-1] = (q, i + 1)
-            t = d.transitions[q][i]
-            if t not in trim:
-                continue
-            a = d.alphabet.symbols[i]
-            if color[t] == 0:
-                color[t] = 1
-                edge_to[t] = (q, a)
-                stack.append((t, 0))
-            elif color[t] == 1:
-                cycle_entry = (q, t, a)
-        if cycle_entry:
-            break
-    if cycle_entry is None:
+    cycle = _trim_cycle(d, reachable_states(d) & coaccessible_states(d))
+    if cycle is None:
         return None
-    q_from, q_cycle, sym = cycle_entry
-    # cycle word: path q_cycle ->* q_from, then sym back to q_cycle
-    parts = [sym]
-    cur = q_from
-    while cur != q_cycle:
-        cur, a = edge_to[cur]
-        parts.append(a)
-    v = "".join(reversed(parts))
+    q_cycle, v = cycle
 
     def step(q: int, i: int) -> tuple[int]:
         return (d.transitions[q][i],)
@@ -488,79 +494,135 @@ def find_pump(d: Dfa) -> tuple[str, str, str] | None:
 
 def longest_accepted_length(d: Dfa) -> int | None:
     """Length of the longest accepted word; None if infinite, -1 if empty."""
-    reach = reachable_states(d)
-    coacc = coaccessible_states(d)
-    trim = reach & coacc
+    trim = reachable_states(d) & coaccessible_states(d)
     if d.start not in trim:
         return -1
-    if find_pump(d) is not None:
+    if _trim_cycle(d, trim) is not None:
         return None
-    # The trim part is acyclic: longest path to acceptance, successors first.
-    longest: dict[int, int] = {}
-    stack = [d.start]
-    while stack:
-        q = stack[-1]
-        if q in longest:
-            stack.pop()
-            continue
-        succ = [t for t in d.transitions[q] if t in trim]
-        todo = [t for t in succ if t not in longest]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        longest[q] = max((1 + longest[t] for t in succ), default=0)
-    return longest[d.start]
+    # The trim part is acyclic, so the trim states that words of one length
+    # lead to die out within n lengths; the last length meeting F is the answer.
+    longest, length, level = -1, 0, {d.start}
+    while level:
+        if not level.isdisjoint(d.accepting):
+            longest = length
+        level = {t for q in level for t in d.transitions[q] if t in trim}
+        length += 1
+    return longest
+
+
+class LanguageWindows:
+    """The canonical window sets of L = L(d), at any width, and its short words.
+
+    Four state sets of d decide them: reach (reachable states), coacc
+    (states with a path to acceptance), reach+ = {d(q, a) : q in reach, a
+    in V} (entered by a nonempty word) and coacc+ = {q : some d(q, a) in
+    coacc} (left by a nonempty word toward acceptance).  A window w is
+      - a prefix window (w V* meets L) iff d(s, w) is in coacc;
+      - an interior window (V+ w V+ meets L) iff the image of reach+ under
+        w meets coacc+;
+      - a suffix window (V* w meets L) iff the image of reach under w
+        meets the accepting states.
+    A word u shorter than the width is a short word iff d accepts it, and
+    live (it begins a word of L) iff d(s, u) is in coacc.
+
+    `prefix_state`, `interior_image` and `suffix_image` apply the three
+    rules to the state or image a walk has already computed.  `prefix`,
+    `interior`, `suffix`, `short` and `live` take the word itself and
+    remember their answers; `short`, `live` and `prefix` expect to be asked
+    about each proper prefix of a word before the word.
+    """
+
+    def __init__(self, d: Dfa) -> None:
+        self._d = d
+        self.reach = reach = reachable_states(d)
+        self.coacc = coacc = coaccessible_states(d)
+        self.reach_plus = {t for q in reach for t in d.transitions[q]}
+        self.coacc_plus = {q for q in range(d.n_states) if any(t in coacc for t in d.transitions[q])}
+        self._states = {"": d.start}  # d(s, u) of the words asked about
+        self._interiors: dict[str, bool] = {}
+        self._suffixes: dict[str, bool] = {}
+
+    def prefix_state(self, q: int) -> bool:
+        return q in self.coacc
+
+    def interior_image(self, image: set[int]) -> bool:
+        return not image.isdisjoint(self.coacc_plus)
+
+    def suffix_image(self, image: set[int]) -> bool:
+        return not image.isdisjoint(self._d.accepting)
+
+    def _image(self, states: set[int], w: str) -> set[int]:
+        trans = self._d.transitions
+        index = self._d.alphabet.index
+        for c in w:
+            i = index(c)
+            states = {trans[q][i] for q in states}
+        return states
+
+    def _state(self, u: str) -> int:
+        q = self._states.get(u)
+        if q is None:
+            d = self._d
+            q = self._states[u] = d.transitions[self._states[u[:-1]]][d.alphabet.index(u[-1])]
+        return q
+
+    def short(self, u: str) -> bool:
+        return self._state(u) in self._d.accepting
+
+    def live(self, u: str) -> bool:
+        return self.prefix_state(self._state(u))
+
+    prefix = live
+
+    def interior(self, w: str) -> bool:
+        hit = self._interiors.get(w)
+        if hit is None:
+            hit = self._interiors[w] = self.interior_image(self._image(self.reach_plus, w))
+        return hit
+
+    def suffix(self, w: str) -> bool:
+        hit = self._suffixes.get(w)
+        if hit is None:
+            hit = self._suffixes[w] = self.suffix_image(self._image(self.reach, w))
+        return hit
 
 
 def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Canonical length-k window sets of the language, computed exactly.
+    """The canonical length-k window sets of L(d), each in lexicographic order.
 
     Returns (starts, interiors, ends):
       starts    = {p in V^k : p V* meets L}
       interiors = {w in V^k : V+ w V+ meets L}
       ends      = {s in V^k : V* s meets L}
     Interior means at least one symbol strictly before and after the
-    window.  Computed by walking all windows with shared prefixes and
-    testing emptiness against state sets, not by enumerating L.
+    window.  Each window is decided by the rules of `LanguageWindows`, not
+    by enumerating L.  One depth-first walk over all |V|**k windows carries
+    the state reached from the start and the images of reach+ and reach
+    under the current prefix, so windows walk their shared prefixes once.
     """
     if k < 1:
         raise InputError("window length must be >= 1")
-    if len(d.alphabet) ** k > MAX_WORD_SPACE:
-        raise InputError(f"window space |V|^{k} too large")
-    reach = frozenset(reachable_states(d))
-    coacc = frozenset(coaccessible_states(d))
-    reach_plus = frozenset(d.transitions[q][i] for q in reach for i in range(len(d.alphabet)))
-    coacc_plus = frozenset(
-        q for q in range(d.n_states) if any(t in coacc for t in d.transitions[q])
-    )
-    acc = d.accepting
-
+    check_window_space(d.alphabet, k)
+    lw = LanguageWindows(d)
+    trans, symbols = d.transitions, d.alphabet.symbols
     starts: list[str] = []
     interiors: list[str] = []
     ends: list[str] = []
-
-    # DFS over windows, threading (state from start, images of reach_plus,
-    # images of reach) so shared prefixes are walked once.
-    def rec(depth: int, w: str, q0: int, img_plus: frozenset[int], img_all: frozenset[int]) -> None:
-        if depth == k:
-            if q0 in coacc:
+    stack = [("", d.start, lw.reach_plus, lw.reach)]
+    while stack:
+        w, q0, img_plus, img_all = stack.pop()
+        if len(w) == k:
+            if lw.prefix_state(q0):
                 starts.append(w)
-            if img_plus & coacc_plus:
+            if lw.interior_image(img_plus):
                 interiors.append(w)
-            if img_all & acc:
+            if lw.suffix_image(img_all):
                 ends.append(w)
-            return
-        for i, a in enumerate(d.alphabet):
-            rec(
-                depth + 1,
-                w + a,
-                d.transitions[q0][i],
-                frozenset(d.transitions[q][i] for q in img_plus),
-                frozenset(d.transitions[q][i] for q in img_all),
-            )
-
-    rec(0, "", d.start, reach_plus, reach)
+            continue
+        # pushed last symbol first, so windows pop in lexicographic order
+        for i in reversed(range(len(symbols))):
+            plus, every = {trans[q][i] for q in img_plus}, {trans[q][i] for q in img_all}
+            stack.append((w + symbols[i], trans[q0][i], plus, every))
     return tuple(starts), tuple(interiors), tuple(ends)
 
 
@@ -602,27 +664,14 @@ class Nfa:
 
     def determinize(self) -> Dfa:
         """Subset construction; the result is complete (dead sink added)."""
-        n_sym = len(self.alphabet)
-        start = self._eps_closure(self.starts)
-        index: dict[frozenset[int], int] = {start: 0}
-        order: list[frozenset[int]] = [start]
-        trans: list[list[int]] = []
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            row = []
-            for i, a in enumerate(self.alphabet):
-                nxt = self._eps_closure(
-                    t for q in cur for t in self.edges.get((q, a), ())
-                )
-                if nxt not in index:
-                    index[nxt] = len(index)
-                    order.append(nxt)
-                    queue.append(nxt)
-                row.append(index[nxt])
-            trans.append(row)
+        symbols, edges = self.alphabet.symbols, self.edges
+        order, rows = explore(
+            self._eps_closure(self.starts),
+            lambda cur, i: self._eps_closure(t for q in cur for t in edges.get((q, symbols[i]), ())),
+            len(symbols),
+        )
         accepting = frozenset(i for i, s in enumerate(order) if s & self.accepting)
-        return Dfa(self.alphabet, len(order), 0, accepting, tuple(tuple(r) for r in trans))
+        return Dfa(self.alphabet, len(order), 0, accepting, tuple(rows))
 
 
 def dfa_for_words(alphabet: Alphabet, words: Iterable[str]) -> Dfa:

@@ -16,10 +16,11 @@ from .automata import (
     Alphabet,
     Dfa,
     InputError,
-    MAX_WORD_SPACE,
     Nfa,
     are_equivalent,
+    check_window_space,
     complement,
+    find_cycle,
     find_pump,
     least_word,
     minimize,
@@ -27,7 +28,7 @@ from .automata import (
     universe_dfa,
 )
 from .regexes import RegexAst, is_union_free, render_regex
-from .slt import SltRep, default_k_max, is_slt_k, make_rep, slt_to_dfa
+from .slt import SltRep, default_k_max, infer_slt, make_rep, slt_to_dfa
 
 # Family tag -> name of its decision procedure in this module, in report
 # order.  The name is resolved when the family is decided, so a rebinding
@@ -137,51 +138,21 @@ def is_definite(d: Dfa) -> Verdict:
     suffix-determined.
     """
     dm = d if d.minimal else minimize(d)
-    n_sym = len(dm.alphabet)
-    nodes = [(p, q) for p in range(dm.n_states) for q in range(p + 1, dm.n_states)]
-    color = {node: 0 for node in nodes}
-    parent_edge: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
+    trans = dm.transitions
 
     def succ(node: tuple[int, int], i: int) -> tuple[int, int] | None:
         p, q = node
-        tp, tq = dm.transitions[p][i], dm.transitions[q][i]
+        tp, tq = trans[p][i], trans[q][i]
         if tp == tq:
             return None
         return (tp, tq) if tp < tq else (tq, tp)
 
-    for root in nodes:
-        if color[root] != 0:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, i = stack[-1]
-            if i == n_sym:
-                color[node] = 2
-                stack.pop()
-                continue
-            stack[-1] = (node, i + 1)
-            t = succ(node, i)
-            if t is None:
-                continue
-            a = dm.alphabet.symbols[i]
-            if color[t] == 0:
-                color[t] = 1
-                parent_edge[t] = (node, a)
-                stack.append((t, 0))
-            elif color[t] == 1:
-                # back edge: reconstruct the pair cycle word
-                parts = [a]
-                cur = node
-                while cur != t:
-                    cur, b = parent_edge[cur]
-                    parts.append(b)
-                word = "".join(reversed(parts))
-                return _no(
-                    f"state pair {t} never merges on ({word})*",
-                    payload=(t, word),
-                )
-    return _yes()
+    pairs = [(p, q) for p in range(dm.n_states) for q in range(p + 1, dm.n_states)]
+    cycle = find_cycle(dm.alphabet.symbols, pairs, succ)
+    if cycle is None:
+        return _yes()
+    pair, word = cycle
+    return _no(f"state pair {pair} never merges on ({word})*", payload=(pair, word))
 
 
 def definite_to_slt(
@@ -202,8 +173,7 @@ def definite_to_slt(
         if not alphabet.covers(w):
             raise InputError(f"word {w!r} not over alphabet")
     k = max((len(w) for w in ds | de), default=0) + 1
-    if len(alphabet) ** k > MAX_WORD_SPACE:
-        raise InputError(f"window space |V|^{k} too large")
+    check_window_space(alphabet, k)
 
     def in_lang(w: str) -> bool:
         return w in ds or any(w.endswith(e) for e in de)
@@ -872,14 +842,14 @@ def _slt_verdicts(
             k_cap = max(k_cap, dm.n_states * (dm.n_states - 1) // 2 + 1)
     else:
         k_cap = k_max
-    rows: list[tuple[int, Verdict]] = []
-    for k in range(1, k_cap + 1):
-        res = is_slt_k(dm, k)
-        if res:
-            rows.append((k, _yes(_render_rep(res.rep), payload=res.rep)))
-            return rows, _yes(f"k={k}", payload=res.rep)
-        rows.append((k, _no(f"witness={_fmt(res.witness)}", payload=res.witness)))
-    return rows, Verdict("unknown", bound=k_cap)
+    if k_cap < 1:  # nothing to sweep
+        return [], Verdict("unknown", bound=k_cap)
+    sweep = infer_slt(dm, k_cap)
+    rows = [(k, _no(f"witness={_fmt(w)}", payload=w)) for k, w in enumerate(sweep.per_k_witness, 1)]
+    if sweep.found_k is None:
+        return rows, Verdict("unknown", bound=k_cap)
+    rows.append((sweep.found_k, _yes(_render_rep(sweep.rep), payload=sweep.rep)))
+    return rows, _yes(f"k={sweep.found_k}", payload=sweep.rep)
 
 
 def _render_rep(rep: SltRep | None) -> str:

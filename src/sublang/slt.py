@@ -17,14 +17,14 @@ from .automata import (
     Alphabet,
     Dfa,
     InputError,
-    MAX_WORD_SPACE,
+    LanguageWindows,
     are_equivalent,
-    coaccessible_states,
+    check_window_space,
     enumerate_upto,
+    explore,
     factor_sets,
     least_word,
     minimize,
-    reachable_states,
 )
 
 
@@ -113,7 +113,8 @@ _DEAD = ("", -1)
 
 
 class _RepWindows:
-    """Membership tests of a window-set representation."""
+    """The membership tests of `automata.LanguageWindows`, read off a
+    window-set representation."""
 
     def __init__(self, rep: SltRep) -> None:
         self.short = rep.short_words.__contains__
@@ -123,65 +124,6 @@ class _RepWindows:
         # a short word is live iff it begins a short word or a prefix window
         live = {w[:j] for w in rep.short_words | rep.prefixes for j in range(len(w) + 1)}
         self.live = live.__contains__
-
-
-class _LanguageWindows:
-    """The same tests for the canonical window sets of L(d) at any width,
-    read off d on demand with the definitions `factor_sets` uses: w is a
-    prefix window iff d(s, w) is coaccessible, an interior window iff the
-    image of reach+ under w meets coacc+, and a suffix window iff the image
-    of the reachable states under w meets the accepting states.  The short
-    words are d's own, and a short word u is live iff d(s, u) is
-    coaccessible."""
-
-    def __init__(self, d: Dfa) -> None:
-        self._d = d
-        reach = reachable_states(d)
-        self._coacc = coacc = coaccessible_states(d)
-        self._reach = reach
-        self._reach_plus = {t for q in reach for t in d.transitions[q]}
-        self._coacc_plus = {
-            q for q in range(d.n_states) if any(t in coacc for t in d.transitions[q])
-        }
-        self._states = {"": d.start}  # d(s, u) of the short words asked about
-        self._interiors: dict[str, bool] = {}
-        self._suffixes: dict[str, bool] = {}
-
-    def _image(self, states: set[int], w: str) -> set[int]:
-        trans = self._d.transitions
-        index = self._d.alphabet.index
-        for c in w:
-            i = index(c)
-            states = {trans[q][i] for q in states}
-        return states
-
-    def _state(self, u: str) -> int:
-        # the window automaton asks about u only once it holds u[:-1]
-        q = self._states.get(u)
-        if q is None:
-            d = self._d
-            q = self._states[u] = d.transitions[self._states[u[:-1]]][d.alphabet.index(u[-1])]
-        return q
-
-    def short(self, u: str) -> bool:
-        return self._state(u) in self._d.accepting
-
-    def live(self, u: str) -> bool:
-        return self._state(u) in self._coacc
-
-    prefix = live
-
-    def interior(self, w: str) -> bool:
-        hit = self._interiors.get(w)
-        if hit is None:
-            hit = self._interiors[w] = not self._image(self._reach_plus, w).isdisjoint(self._coacc_plus)
-        return hit
-
-    def suffix(self, w: str) -> bool:
-        hit = self._suffixes.get(w)
-        if hit is None:
-            hit = self._suffixes[w] = not self._image(self._reach, w).isdisjoint(self._d.accepting)
-        return hit
 
 
 class _WindowAutomaton:
@@ -231,11 +173,6 @@ class _WindowAutomaton:
         return (w[1:] + a, _LATER)
 
 
-def _check_window_space(alphabet: Alphabet, k: int) -> None:
-    if len(alphabet) ** k > MAX_WORD_SPACE:
-        raise InputError(f"window space |V|^{k} too large")
-
-
 def slt_to_dfa(rep: SltRep) -> Dfa:
     """Minimal DFA accepting exactly the represented language.
 
@@ -244,21 +181,11 @@ def slt_to_dfa(rep: SltRep) -> Dfa:
     Short words that begin no short word and no prefix window go straight
     to the dead state.
     """
-    _check_window_space(rep.alphabet, rep.k)
+    check_window_space(rep.alphabet, rep.k)
     auto = _WindowAutomaton(rep.k, rep.alphabet, _RepWindows(rep))
-    q = 0
-    while q < len(auto.rows):
-        for i in range(len(rep.alphabet)):
-            auto.step(q, i)
-        q += 1
-    raw = Dfa(
-        rep.alphabet,
-        len(auto.rows),
-        auto.start,
-        frozenset(q for q, acc in enumerate(auto.accepting) if acc),
-        tuple(tuple(r) for r in auto.rows),  # type: ignore[misc]
-    )
-    return minimize(raw)
+    nodes, rows = explore(auto.start, auto.step, len(rep.alphabet))
+    accepting = frozenset(j for j, q in enumerate(nodes) if auto.accepting[q])
+    return minimize(Dfa(rep.alphabet, len(nodes), 0, accepting, tuple(rows)))
 
 
 def canonical_rep(d: Dfa, k: int) -> SltRep:
@@ -295,8 +222,8 @@ def is_slt_k(d: Dfa, k: int) -> SltKResult:
     """
     if k < 1:
         raise InputError("window length must be >= 1")
-    _check_window_space(d.alphabet, k)
-    auto = _WindowAutomaton(k, d.alphabet, _LanguageWindows(d))
+    check_window_space(d.alphabet, k)
+    auto = _WindowAutomaton(k, d.alphabet, LanguageWindows(d))
     trans, accepting = d.transitions, d.accepting
     witness = least_word(
         d.alphabet.symbols,

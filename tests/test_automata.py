@@ -184,6 +184,26 @@ def test_factor_sets_examples():
     assert factor_sets(compile_regex(Empty(), AB), 2) == ((), (), ())
 
 
+def test_every_window_construction_refuses_the_same_window_space():
+    """factor_sets, slt_to_dfa, is_slt_k and definite_to_slt share one
+    check and one message; words_of_length keeps a message of its own."""
+    from sublang.families import definite_to_slt
+    from sublang.slt import is_slt_k, make_rep, slt_to_dfa
+
+    message = r"^window space \|V\|\^19 too large$"
+    d = compile_regex("a|ab*a", AB)
+    for build in (
+        lambda: factor_sets(d, 19),
+        lambda: slt_to_dfa(make_rep(19, AB)),
+        lambda: is_slt_k(d, 19),
+        lambda: definite_to_slt({"a" * 18}, (), AB),
+    ):
+        with pytest.raises(InputError, match=message):
+            build()
+    with pytest.raises(InputError, match=r"^word space \|V\|\^19 too large to enumerate$"):
+        next(AB.words_of_length(19))
+
+
 def test_factor_sets_window_consistency(corpus):
     # every window of every accepted word must appear in the proper set
     for d in corpus:

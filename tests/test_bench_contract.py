@@ -1,0 +1,62 @@
+"""The benchmark tracer's hold on the program.
+
+`perfbench/tracing.py` reaches into the program by name: it keeps its own
+copy of the family table and rebinds the layer functions it lists in
+every `sublang` namespace that holds them.  A renamed or removed internal
+would not fail the benchmark; it would read zero in its report.  These
+tests load the tracer from its file and check that it still finds and
+times what it names, and that it leaves the program as it found it.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+from sublang import families
+from sublang.cli import main
+
+TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+SPANS = (
+    "automata.minimize",
+    "automata.determinize",
+    "automata.factor_sets",
+    "families.FIN",
+    "families.DEF",
+    "slt.is_slt_k",
+)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_family_table_is_the_program_table(tracing):
+    assert tracing.FAMILY_PROCEDURES == families.FAMILY_PROCEDURES
+
+
+def test_tracer_finds_its_targets_records_spans_and_restores_the_program(tracing, capsys):
+    tracer = tracing.Tracer()
+    targets = tracer._targets()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)
+        # every target is rebound at least where it is defined
+        rebound = {(id(owner), attr) for owner, attr, _ in patched}
+        for name, owner, attr, _ in targets:
+            assert (id(owner), attr) in rebound, name
+        assert main(["classify", "--porcelain", "--input", "regex:a|ab*a"]) == 0
+        assert main(["verify", "--lemma", "l-abna"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in SPANS:
+        assert tracer.calls[name] > 0, name
+    assert tracer._patched == []
+    for owner, attr, original in patched:
+        held = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert held is original, attr

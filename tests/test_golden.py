@@ -13,7 +13,10 @@ began to settle chain length n: it read `search budget exhausted` before,
 with the same verdict and bound.
 The grammar samples (`*.cg`) are not languages and have no classify report;
 their `generate` output was recorded before generation moved from a heap
-to length layers over one successor kernel.
+to length layers over one successor kernel.  The `enumerate`, `convert`
+and `compare` cases were recorded before determinization, products,
+distance pruning, cycle search and the window sets moved onto shared
+graph searches.
 """
 
 import os
@@ -45,6 +48,27 @@ CASES.update(
         # ORD settles its only chain length, n = 11, by an orientation conflict
         "classify-regex-aababbb_b_or_a_b": ["classify", "--porcelain", "--input", "regex:aababbb(b|a)b"],
         "verify-all": ["verify", "--lemma", "all"],
+        "enumerate-witness-l-abna-8": ["enumerate", "--input", "witness:l-abna", "--max-len", "8"],
+        "enumerate-regex-ab_or_ba_star_a-7": [
+            "enumerate",
+            "--input",
+            "regex:(ab|ba)*a",
+            "--alphabet",
+            "ab",
+            "--max-len",
+            "7",
+        ],
+        "convert-definite-a_ab-b": ["convert", "--definite", "a,ab", "b", "--alphabet", "a b"],
+        "compare-dyck-oracle-dyck-12": [
+            "compare",
+            "--left",
+            f"grammar-in:{os.path.join(SAMPLES, 'dyck.cg')}",
+            "--right",
+            "oracle:dyck",
+            "--max-len",
+            "12",
+            "--porcelain",
+        ],
     }
 )
 for grammar, mode, max_len in (("dyck", "in", 10), ("dyck", "ex", 10), ("insertion", "in", 12)):

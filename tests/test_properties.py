@@ -11,20 +11,27 @@ from hypothesis import given, settings, strategies as st
 import classify_reference
 import closure_reference
 import generation_reference
+import graph_reference
 import slt_reference
 from conftest import all_words, brute_accepted, random_regex_ast
 
-from sublang import slt
+from sublang import automata, slt
 from sublang.automata import (
     Alphabet,
     Dfa,
     InputError,
     MAX_WORD_SPACE,
+    _renumber,
     are_equivalent,
+    coaccessible_states,
     complement,
     difference,
+    dfa_for_words,
     enumerate_upto,
+    factor_sets,
+    find_pump,
     intersect,
+    longest_accepted_length,
     minimize,
     union,
 )
@@ -36,6 +43,7 @@ from sublang.families import (
     decide_family,
     is_circular,
     is_commutative,
+    is_definite,
     is_suffix_closed,
 )
 from sublang.grammars import (
@@ -49,6 +57,7 @@ from sublang.grammars import (
     generate_bounded,
     internal_successors,
 )
+from sublang.regexes import to_nfa
 from sublang.slt import canonical_rep, make_rep, slt_membership, slt_to_dfa
 from sublang.witnesses import build_witness, default_witness_ids
 
@@ -360,6 +369,42 @@ def raw_window_automaton(rep):
 def test_hopcroft_minimize_agrees_with_moore_on_window_automata(rep):
     raw = raw_window_automaton(rep)
     assert minimize(raw) == slt_reference.minimize(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("a", "ab", "abc")).map(Alphabet.of), st.booleans(), st.data())
+def test_shared_graph_searches_agree_with_their_former_copies(alphabet, minimal, data):
+    """The shared BFS numbering, cycle search, backward distance search and
+    window rules give the automata, words, verdicts and window sets of the
+    routines that each carried a search of their own, on raw and minimal
+    DFAs of 1-9 states, and on finite languages.  Compared with `==`: equal
+    frozensets may print in different orders."""
+    d1, d2 = (data.draw(dfas(9, alphabet)) for _ in range(2))
+    if minimal:
+        d1, d2 = minimize(d1), minimize(d2)
+    finite = dfa_for_words(alphabet, data.draw(st.lists(st.text("".join(alphabet), max_size=7), max_size=5)))
+    for d in (d1, d2, finite):
+        assert _renumber(d) == graph_reference._renumber(d)
+        assert coaccessible_states(d) == graph_reference.coaccessible_states(d)
+        assert enumerate_upto(d, 7) == graph_reference.enumerate_upto(d, 7)
+        pump = graph_reference.find_pump(d)
+        assert find_pump(d) == pump
+        assert is_definite(d) == graph_reference.is_definite(d)
+        words = enumerate_upto(d, d.n_states)  # a finite language has no longer word
+        expected = None if pump else max((len(w) for w in words), default=-1)
+        assert longest_accepted_length(d) == expected
+        for k in range(1, 7):
+            if len(alphabet) ** k <= 243:
+                assert factor_sets(d, k) == graph_reference.factor_sets(d, k)
+    for op in ("intersect", "union", "difference"):
+        assert getattr(automata, op)(d1, d2) == getattr(graph_reference, op)(d1, d2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(("a", "ab", "abc")), st.integers(0, 2**32 - 1))
+def test_determinize_agrees_with_its_former_copy(symbols, seed):
+    nfa = to_nfa(random_regex_ast(random.Random(seed), 4, symbols), Alphabet.of(symbols))
+    assert nfa.determinize() == graph_reference.determinize(nfa)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
