@@ -34,7 +34,6 @@ from .families import (
     is_orderable,
     is_power_separating,
     is_suffix_closed,
-    is_union_free_syntactic,
     verify_order,
 )
 from .grammars import (

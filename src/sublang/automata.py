@@ -651,6 +651,14 @@ class Nfa:
             raise InputError(f"symbol {sym!r} not in alphabet")
         self.edges.setdefault((p, sym), set()).add(q)
 
+    def add_word(self, p: int, word: str) -> int:
+        """Add a path of fresh states spelling `word` from state p; return its end."""
+        for c in word:
+            q = self.add_state()
+            self.add_edge(p, c, q)
+            p = q
+        return p
+
     def _eps_closure(self, states: Iterable[int]) -> frozenset[int]:
         seen = set(states)
         queue = deque(seen)
@@ -682,12 +690,7 @@ def dfa_for_words(alphabet: Alphabet, words: Iterable[str]) -> Dfa:
     for w in words:
         if not alphabet.covers(w):
             raise InputError(f"word {w!r} not over alphabet")
-        cur = root
-        for c in w:
-            nxt = nfa.add_state()
-            nfa.add_edge(cur, c, nxt)
-            cur = nxt
-        nfa.accepting.add(cur)
+        nfa.accepting.add(nfa.add_word(root, w))
     return minimize(nfa.determinize())
 
 

@@ -28,7 +28,7 @@ from .automata import (
     universe_dfa,
 )
 from .regexes import RegexAst, is_union_free, render_regex
-from .slt import SltRep, default_k_max, infer_slt, make_rep, slt_to_dfa
+from .slt import SltRep, check_k_max, default_k_max, infer_slt, make_rep, slt_to_dfa
 
 # Family tag -> name of its decision procedure in this module, in report
 # order.  The name is resolved when the family is decided, so a rebinding
@@ -200,19 +200,9 @@ def _definite_dfa(ds: frozenset[str], de: frozenset[str], alphabet: Alphabet) ->
     for a in alphabet:
         nfa.add_edge(loop, a, loop)
     for w in ds:
-        cur = root
-        for c in w:
-            nxt = nfa.add_state()
-            nfa.add_edge(cur, c, nxt)
-            cur = nxt
-        nfa.accepting.add(cur)
+        nfa.accepting.add(nfa.add_word(root, w))
     for e in de:
-        cur = loop
-        for c in e:
-            nxt = nfa.add_state()
-            nfa.add_edge(cur, c, nxt)
-            cur = nxt
-        nfa.accepting.add(cur)
+        nfa.accepting.add(nfa.add_word(loop, e))
     return minimize(nfa.determinize())
 
 
@@ -749,11 +739,6 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     return _yes(f"every power sequence stabilizes acceptance (monoid size {len(m)})")
 
 
-def is_union_free_syntactic(ast: RegexAst) -> bool:
-    """Certificate-level check on the given expression, not the language."""
-    return is_union_free(ast)
-
-
 # ---------------------------------------------------------------------------
 # classification report
 
@@ -808,11 +793,12 @@ def classify(
 
     The report is a deterministic function of (d, k_max, source_expr).
     """
+    check_k_max(k_max)
     dm = minimize(d)
     monoid = TransitionMonoid(dm)
 
     verdicts = {tag: decide_family(tag, dm, monoid) for tag in FAMILY_PROCEDURES}
-    if source_expr is not None and is_union_free_syntactic(source_expr):
+    if source_expr is not None and is_union_free(source_expr):
         verdicts["UF"] = _yes(f"union-free expression: {render_regex(source_expr)}")
     else:
         verdicts["UF"] = Verdict(
@@ -842,8 +828,6 @@ def _slt_verdicts(
             k_cap = max(k_cap, dm.n_states * (dm.n_states - 1) // 2 + 1)
     else:
         k_cap = k_max
-    if k_cap < 1:  # nothing to sweep
-        return [], Verdict("unknown", bound=k_cap)
     sweep = infer_slt(dm, k_cap)
     rows = [(k, _no(f"witness={_fmt(w)}", payload=w)) for k, w in enumerate(sweep.per_k_witness, 1)]
     if sweep.found_k is None:

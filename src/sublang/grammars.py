@@ -22,8 +22,8 @@ from .automata import (
     longest_accepted_length,
     minimize,
 )
-from .families import FAMILY_PROCEDURES, decide_family, is_union_free_syntactic
-from .regexes import RegexAst, compile_regex, parse_regex
+from .families import FAMILY_PROCEDURES, decide_family
+from .regexes import RegexAst, compile_regex, is_union_free, parse_regex
 from .slt import SltRep, infer_slt, is_slt_k, slt_to_dfa
 
 
@@ -167,7 +167,7 @@ def _check_declared_family(handle: LanguageHandle, family: str) -> tuple[str, st
         return None
     if family == "UF":
         if isinstance(handle.source, RegexAst):
-            if is_union_free_syntactic(handle.source):
+            if is_union_free(handle.source):
                 return None
             return ("error", "selector expression contains a union")
         return ("warning", "union-freeness cannot be certified without an expression")

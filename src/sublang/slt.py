@@ -269,12 +269,17 @@ def default_k_max(d: Dfa) -> int:
     return max(1, bound)
 
 
+def check_k_max(k_max: int | None) -> None:
+    """Refuse a window-length cap below 1; None stands for the default cap."""
+    if k_max is not None and k_max < 1:
+        raise InputError("k_max must be >= 1")
+
+
 def infer_slt(d: Dfa, k_max: int | None = None, k_start: int = 1) -> InferSltResult:
     """Smallest k <= k_max admitting a representation, else a bounded negative."""
+    check_k_max(k_max)
     if k_max is None:
         k_max = default_k_max(d)
-    if k_max < 1:
-        raise InputError("k_max must be >= 1")
     witnesses: list[str] = []
     for k in range(k_start, k_max + 1):
         res = is_slt_k(d, k)

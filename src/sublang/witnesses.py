@@ -1,16 +1,18 @@
 """Executable encodings of the classic witness languages and grammars.
 
-Each witness id names one construction; verify_lemma replays its
-machine-checkable claims: exact family separations, bounded equality of
-grammar output against an independent enumeration oracle, and
-certificate checks.  Oracles here are direct set builders and counters,
-never the grammar engine itself.
+A witness is one entry of the table `WITNESSES` at the end of this module;
+parsing an id, building it, its oracle and its lemma are lookups there.
+verify_lemma replays a witness's machine-checkable claims: exact family
+separations, bounded equality of grammar output against an independent
+enumeration oracle, and certificate checks.  Oracles here are direct set
+builders and counters, never the grammar engine itself.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .automata import Alphabet, Dfa, InputError, are_equivalent
 from .families import (
@@ -30,23 +32,12 @@ from .grammars import (
     SelectionPair,
     generate_bounded,
 )
-from .slt import infer_slt, is_slt_k, make_rep, slt_to_dfa
+from .slt import SltRep, check_k_max, infer_slt, is_slt_k, make_rep, slt_to_dfa
 
 MAX_DESK_LEN = 20
-_PARAM_CAPS = {"slt-hierarchy": 4, "lk-fin": 4, "l-ic-33": 3, "kk": 4}
-_PARAM_MINS = {"slt-hierarchy": 1, "lk-fin": 1, "l-ic-33": 2, "kk": 1}
-
-PLAIN_IDS = (
-    "l-abna",
-    "mon-to-slt1",
-    "comb-to-slt1",
-    "def-to-slt",
-    "l-ec-35",
-    "l-ic-32",
-    "l-ic-34",
-    "l-ic-35",
-    "dyck",
-)
+# parameter ranges that the public builder and oracle check as well
+_IC33_SIZES = range(2, 4)
+_KK_SIZES = range(1, 5)
 
 _AB = Alphabet.of("ab")
 _ABC = Alphabet.of("abc")
@@ -59,82 +50,64 @@ def parse_witness_id(text: str) -> tuple[str, int | None]:
     if not m:
         raise InputError(f"malformed witness id {text!r}")
     name, param = m.group(1), m.group(2)
-    if name in _PARAM_CAPS:
-        if param is None:
-            raise InputError(f"witness {name!r} needs a parameter, e.g. {name}(1)")
-        value = int(param)
-        if not (_PARAM_MINS[name] <= value <= _PARAM_CAPS[name]):
-            raise InputError(
-                f"parameter {value} for {name!r} outside supported range "
-                f"{_PARAM_MINS[name]}..{_PARAM_CAPS[name]}"
-            )
-        return name, value
-    if name not in PLAIN_IDS:
+    witness = WITNESSES.get(name)
+    if witness is None:
         raise InputError(f"unknown witness id {text!r}")
-    if param is not None:
-        raise InputError(f"witness {name!r} takes no parameter")
-    return name, None
+    if witness.params is None:
+        if param is not None:
+            raise InputError(f"witness {name!r} takes no parameter")
+        return name, None
+    if param is None:
+        raise InputError(f"witness {name!r} needs a parameter, e.g. {name}(1)")
+    value = int(param)
+    if value not in witness.params:
+        raise InputError(
+            f"parameter {value} for {name!r} outside supported range "
+            f"{witness.params.start}..{witness.params[-1]}"
+        )
+    return name, value
 
 
 def default_witness_ids() -> list[str]:
+    """The ids `verify --lemma all` runs, in table order."""
     return [
-        "l-abna",
-        "mon-to-slt1",
-        "comb-to-slt1",
-        "def-to-slt",
-        "slt-hierarchy(1)",
-        "slt-hierarchy(2)",
-        "slt-hierarchy(3)",
-        "lk-fin(1)",
-        "lk-fin(2)",
-        "lk-fin(3)",
-        "lk-fin(4)",
-        "l-ec-35",
-        "l-ic-32",
-        "l-ic-33(2)",
-        "l-ic-33(3)",
-        "l-ic-34",
-        "l-ic-35",
-        "dyck",
-        "kk(1)",
-        "kk(2)",
+        name if p is None else f"{name}({p})"
+        for name, witness in WITNESSES.items()
+        for p in witness.verify_all
     ]
+
+
+def build_witness(witness_id: str) -> LanguageHandle | ContextualGrammar:
+    name, param = parse_witness_id(witness_id)
+    return _apply(WITNESSES[name].build, param)
+
+
+def oracle_words(witness_id: str, max_len: int) -> list[str]:
+    """The id's direct-enumeration oracle, bounded by max_len."""
+    name, param = parse_witness_id(witness_id)
+    witness = WITNESSES[name]
+    if witness.oracle is None:  # a language witness enumerates its own automaton
+        return _apply(witness.build, param).bounded_words(max_len)
+    return _oracle(witness, param, max_len)
+
+
+def _oracle(witness: Witness, param: int | None, max_len: int) -> list[str]:
+    # looked up at call time, so a rebound module attribute is the one called
+    return _apply(globals()[witness.oracle], param, max_len)  # type: ignore[index]
+
+
+def _apply(fn, param: int | None, *args):
+    """fn(*args), or fn(param, *args) for a witness with a parameter."""
+    return fn(*args) if param is None else fn(param, *args)
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def build_witness(witness_id: str) -> LanguageHandle | ContextualGrammar:
-    name, param = parse_witness_id(witness_id)
-    if name == "l-abna":
-        return LanguageHandle.from_regex("a|ab*a", _AB)
-    if name == "slt-hierarchy":
-        block = "a" + "b" * param  # type: ignore[operator]
-        return LanguageHandle.from_regex(f"{block}({block})*", _AB)
-    if name == "lk-fin":
-        return LanguageHandle.from_regex("a" * (param + 1), Alphabet.of("a"))  # type: ignore[operator]
-    if name == "mon-to-slt1":
-        return LanguageHandle.from_regex("(a|b)*", _AB)
-    if name == "comb-to-slt1":
-        return LanguageHandle.from_regex("(a|b)*b", _AB)
-    if name == "def-to-slt":
-        return LanguageHandle.from_regex("a|(a|b)*ab", _AB)
-    if name == "l-ec-35":
-        return ec35_grammar()
-    if name == "l-ic-32":
-        return ic32_grammar()
-    if name == "l-ic-33":
-        return ic33_grammars(param)[0]  # type: ignore[arg-type]
-    if name == "l-ic-34":
-        return ic34_grammar()
-    if name == "l-ic-35":
-        return ic35_grammar()
-    if name == "dyck":
-        return dyck_grammar()
-    if name == "kk":
-        return kk_grammar(param)  # type: ignore[arg-type]
-    raise AssertionError(name)  # pragma: no cover
+def _hierarchy_language(h: int) -> LanguageHandle:
+    block = "a" + "b" * h
+    return LanguageHandle.from_regex(f"{block}({block})*", _AB)
 
 
 def ec35_grammar() -> ContextualGrammar:
@@ -161,7 +134,7 @@ def ic32_grammar() -> ContextualGrammar:
 
 def ic33_grammars(n: int) -> tuple[ContextualGrammar, ContextualGrammar]:
     """The window-set-selection grammar and the finite-selection grammar."""
-    if not (2 <= n <= _PARAM_CAPS["l-ic-33"]):
+    if n not in _IC33_SIZES:
         raise InputError(f"l-ic-33 parameter {n} out of range")
     axioms = ("a" * n + "b" * (2 * n) + "c" * n, "a" * (n - 1) + "b" * n + "c" * (n - 1))
     rep = make_rep(
@@ -390,7 +363,7 @@ def kk_oracle_upto(k: int, max_len: int) -> list[str]:
     repeated single insertions, so inserting balanced words equals
     iterating single insertions.
     """
-    if not (1 <= k <= _PARAM_CAPS["kk"]):
+    if k not in _KK_SIZES:
         raise InputError(f"kk parameter {k} out of range")
     _check_desk_scale(max_len)
     seen = set(kk_core_words(k, max_len))
@@ -407,31 +380,6 @@ def kk_oracle_upto(k: int, max_len: int) -> list[str]:
                     nxt.append(y)
         frontier = nxt
     return _ABCD.sort_words(seen)
-
-
-def oracle_words(witness_id: str, max_len: int) -> list[str]:
-    """The id's direct-enumeration oracle, bounded by max_len."""
-    name, param = parse_witness_id(witness_id)
-    if name == "dyck":
-        return dyck_words_upto(max_len)
-    if name == "kk":
-        return kk_oracle_upto(param or 1, max_len)
-    if name == "l-ec-35":
-        return ec35_oracle(max_len)
-    if name == "l-ic-32":
-        return ic32_oracle(max_len)
-    if name == "l-ic-33":
-        return ic33_oracle(param or 2, max_len)
-    if name == "l-ic-34":
-        return ic34_oracle(max_len)
-    if name == "l-ic-35":
-        return ic35_oracle(max_len)
-    if name == "slt-hierarchy":
-        return hierarchy_oracle(param or 1, max_len)
-    built = build_witness(witness_id)
-    if isinstance(built, LanguageHandle):
-        return built.bounded_words(max_len)
-    raise InputError(f"no enumeration oracle for witness {witness_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +419,34 @@ class LemmaReport:
         ]
 
 
+def verify_lemma(witness_id: str, max_len: int | None = None, k_max: int | None = None) -> LemmaReport:
+    name, param = parse_witness_id(witness_id)
+    witness = WITNESSES[name]
+    if max_len is None:
+        max_len = witness.max_len
+    _check_desk_scale(max_len)
+    check_k_max(k_max)
+    return LemmaReport(witness_id, tuple(witness.check(_Replay(witness, param, max_len, k_max))))
+
+
+class _Replay(NamedTuple):
+    """What a lemma check reads: the witness's table entry, parameter and bounds."""
+
+    witness: Witness
+    param: int | None
+    max_len: int
+    k_max: int | None
+
+    def build(self):
+        return _apply(self.witness.build, self.param)
+
+    def generate(self, grammar: ContextualGrammar) -> list[str]:
+        return generate_bounded(grammar, self.witness.mode, self.max_len, check_invariants=True)
+
+    def oracle(self) -> list[str]:
+        return _oracle(self.witness, self.param, self.max_len)
+
+
 def _chk(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail)
 
@@ -479,220 +455,227 @@ def _scope(name: str) -> CheckResult:
     return CheckResult(name, "out-of-scope", "proof-level claim over all grammars")
 
 
-_DEFAULT_MAX_LEN = {"l-ic-35": 14}
+def _generation_check(
+    name: str, run: _Replay, g: ContextualGrammar
+) -> tuple[CheckResult, list[str], list[str]]:
+    """The check that the grammar's bounded closure equals the oracle's words,
+    with the closure and the oracle's words."""
+    generated, expected = run.generate(g), run.oracle()
+    return _chk(name, generated == expected), generated, expected
 
 
-def verify_lemma(witness_id: str, max_len: int | None = None, k_max: int | None = None) -> LemmaReport:
-    name, param = parse_witness_id(witness_id)
-    if max_len is None:
-        max_len = _DEFAULT_MAX_LEN.get(name, 12)
-    _check_desk_scale(max_len)
-    checks: list[CheckResult]
+def _printed_rep_check(name: str, dfa: Dfa, printed: SltRep, detail: str = "") -> CheckResult:
+    """The language is window-testable at k, and the printed k-representation denotes it."""
+    ok = bool(is_slt_k(dfa, printed.k)) and are_equivalent(slt_to_dfa(printed), dfa).equal
+    return _chk(name, ok, detail)
 
-    if name == "l-abna":
-        handle = build_witness(witness_id)
-        res = is_slt_k(handle.dfa, 1)
-        printed = make_rep(1, _AB, ["a"], ["b"], ["a"])
-        rep_ok = bool(res) and are_equivalent(slt_to_dfa(printed), handle.dfa).equal
-        checks = [
-            _chk("window-testable-at-1", rep_ok, "representation ({a},{b},{a},{})"),
-            _chk("not-definite", is_definite(handle.dfa).value == "no"),
-        ]
-    elif name == "slt-hierarchy":
-        handle = build_witness(witness_id)
-        h = param or 1
-        up = is_slt_k(handle.dfa, h + 1)
-        low = is_slt_k(handle.dfa, h)
-        gen_ok = handle.bounded_words(max_len) == hierarchy_oracle(h, max_len)
-        checks = [
-            _chk(f"window-testable-at-{h + 1}", bool(up)),
-            _chk(f"not-window-testable-at-{h}", not low, f"witness={low.witness or '_'}"),
-            _chk("matches-block-oracle", gen_ok),
-        ]
-    elif name == "lk-fin":
-        handle = build_witness(witness_id)
-        k = param or 1
-        res = is_slt_k(handle.dfa, k)
-        checks = [
-            _chk("finite", is_finite(handle.dfa).value == "yes"),
-            _chk(
-                f"not-window-testable-at-{k}",
-                not res and res.witness == "a" * k,
-                f"canonical candidate admits {res.witness or '_'}",
-            ),
-        ]
-    elif name == "mon-to-slt1":
-        handle = build_witness(witness_id)
-        rep = definite_to_slt((), ("",), _AB)
-        fields = rep.sorted_fields()
-        structural = (
-            rep.k == 1
-            and fields[0] == list(_AB.symbols)
-            and fields[1] == list(_AB.symbols)
-            and fields[2] == list(_AB.symbols)
-            and fields[3] == [""]
-        )
-        checks = [
-            _chk("monoidal", is_monoidal(handle.dfa).value == "yes"),
-            _chk("window-rep-is-(V,V,V,{_})", structural),
-            _chk(
-                "rep-equivalent-to-universe",
-                are_equivalent(slt_to_dfa(rep), handle.dfa).equal,
-            ),
-        ]
-    elif name == "comb-to-slt1":
-        handle = build_witness(witness_id)
-        comb = is_combinational(handle.dfa)
-        rep = make_rep(1, _AB, _AB.symbols, _AB.symbols, comb.payload or ())
-        checks = [
-            _chk("combinational", comb.value == "yes" and comb.payload == ("b",), "X={b}"),
-            _chk(
-                "window-rep-(V,V,X,{})-equivalent",
-                are_equivalent(slt_to_dfa(rep), handle.dfa).equal,
-            ),
-            _chk("window-testable-at-1", bool(is_slt_k(handle.dfa, 1))),
-        ]
-    elif name == "def-to-slt":
-        handle = build_witness(witness_id)
-        ds, de = ("a",), ("ab",)
-        rep = definite_to_slt(ds, de, _AB)
-        checks = [
-            _chk("definite", is_definite(handle.dfa).value == "yes"),
-            _chk(
-                "construction-equivalent",
-                are_equivalent(slt_to_dfa(rep), handle.dfa).equal,
-                f"k={rep.k}",
-            ),
-        ]
-    elif name == "l-ec-35":
-        g = ec35_grammar()
-        ord0 = is_orderable(g.pairs[0].selector.dfa)
-        ord1 = is_orderable(g.pairs[1].selector.dfa)
-        cert1_ok = (
-            ord1.value == "yes"
-            and ord1.payload.dfa.n_states == 2  # type: ignore[union-attr]
-            and verify_order(ord1.payload.dfa, ord1.payload.order)  # type: ignore[union-attr]
-        )
-        slt_sweep = infer_slt(g.pairs[1].selector.dfa, k_max)
-        gen = generate_bounded(g, "ex", max_len, check_invariants=True)
-        checks = [
-            _chk("selector-0-orderable", ord0.value == "yes"),
-            _chk("selector-1-orderable-2-states", cert1_ok),
-            _chk(
-                f"selector-1-not-window-testable-up-to-{slt_sweep.k_max}",
-                not slt_sweep.found,
-                "bounded verdict",
-            ),
-            _chk("external-generation-matches-oracle", gen == ec35_oracle(max_len)),
-            _scope("not-EC(SLT)"),
-        ]
-    elif name == "l-ic-32":
-        g = ic32_grammar()
-        sel = g.pairs[0].selector
-        res = is_slt_k(sel.dfa, 1)
-        b_alpha = Alphabet.of("b")
-        printed = make_rep(1, b_alpha, ["b"], ["b"], ["b"])
-        checks = [
-            _chk(
-                "selector-window-testable-at-1",
-                bool(res) and are_equivalent(slt_to_dfa(printed), sel.dfa).equal,
-                "representation ({b},{b},{b},{})",
-            ),
-            _chk(
-                "internal-generation-matches-oracle",
-                generate_bounded(g, "in", max_len, check_invariants=True) == ic32_oracle(max_len),
-            ),
-            _scope("not-IC(COMB)"),
-        ]
-    elif name == "l-ic-33":
-        n = param or 2
-        g_slt, g_fin = ic33_grammars(n)
-        sel = g_slt.pairs[0].selector
-        res = is_slt_k(sel.dfa, n)
-        printed = make_rep(
-            n, _ABC, ["a" * n], _ABC.words_of_length(n), ["c" * n]
-        )
-        out_slt = generate_bounded(g_slt, "in", max_len, check_invariants=True)
-        out_fin = generate_bounded(g_fin, "in", max_len, check_invariants=True)
-        checks = [
-            _chk(
-                f"selector-window-testable-at-{n}",
-                bool(res) and are_equivalent(slt_to_dfa(printed), sel.dfa).equal,
-            ),
-            _chk("finite-selector-finite", is_finite(g_fin.pairs[0].selector.dfa).value == "yes"),
-            _chk(
-                "short-axiom-never-selected",
-                not sel.contains(g_slt.axioms[1]),
-                f"axiom {g_slt.axioms[1]}",
-            ),
-            _chk("generation-matches-oracle", out_slt == ic33_oracle(n, max_len)),
-            _chk("both-grammars-agree", out_slt == out_fin),
-            _scope(f"not-IC(SLT{n - 1})"),
-        ]
-    elif name == "l-ic-34":
-        g = ic34_grammar()
-        ac_res = is_slt_k(g.pairs[0].selector.dfa, 1)
-        bd_res = is_slt_k(g.pairs[1].selector.dfa, 1)
-        checks = [
-            _chk("selector-ac-window-testable-at-1", bool(ac_res)),
-            _chk("selector-bd-window-testable-at-1", bool(bd_res)),
-            _chk(
-                "internal-generation-matches-oracle",
-                generate_bounded(g, "in", max_len, check_invariants=True) == ic34_oracle(max_len),
-            ),
-            _scope("not-IC(DEF)"),
-        ]
-    elif name == "l-ic-35":
-        g = ic35_grammar()
-        sel = g.pairs[0].selector
-        table = ic35_table_dfa()
-        oracle = ic35_oracle(max_len)
-        ordv = is_orderable(sel.dfa)
-        sweep = infer_slt(sel.dfa, k_max)
-        checks = [
-            _chk(
-                "axiom-is-minimal-element",
-                g.axioms[0] == "ababaababa" == min(oracle, key=len),
-            ),
-            _chk(
-                "published-table-accepts-selector",
-                are_equivalent(table, sel.dfa).equal,
-            ),
-            _chk("published-order-is-monotone", verify_order(table, (0, 1, 2, 3))),
-            _chk("selector-orderable", ordv.value == "yes"),
-            _chk(
-                f"selector-not-window-testable-up-to-{sweep.k_max}",
-                not sweep.found,
-                "bounded verdict",
-            ),
-            _chk(
-                "internal-generation-matches-oracle",
-                generate_bounded(g, "in", max_len, check_invariants=True) == oracle,
-            ),
-            _scope("not-IC(SLT)"),
-        ]
-    elif name == "dyck":
-        g = dyck_grammar()
-        gen = generate_bounded(g, "in", max_len, check_invariants=True)
-        checks = [
-            _chk("selector-monoidal", is_monoidal(g.pairs[0].selector.dfa).value == "yes"),
-            _chk("generation-matches-balance-counter", gen == dyck_words_upto(max_len)),
-            _chk("all-generated-words-balanced", all(is_balanced(w) for w in gen)),
-        ]
-    elif name == "kk":
-        k = param or 1
-        g = kk_grammar(k)
-        sel = g.pairs[0].selector
-        checks = [
-            _chk("selector-suffix-closed", is_suffix_closed(sel.dfa).value == "yes"),
-            _chk("selector-finite", is_finite(sel.dfa).value == "yes"),
-            _chk(
-                "internal-generation-matches-oracle",
-                generate_bounded(g, "in", max_len, check_invariants=True) == kk_oracle_upto(k, max_len),
-            ),
-            _scope(f"not-IC(SLT{k})"),
-        ]
-    else:  # pragma: no cover
-        raise AssertionError(name)
 
-    return LemmaReport(witness_id, tuple(checks))
+def _sweep_check(selector: str, dfa: Dfa, k_max: int | None) -> CheckResult:
+    """No window length up to the sweep's cap fits: a bounded negative."""
+    sweep = infer_slt(dfa, k_max)
+    name = f"{selector}-not-window-testable-up-to-{sweep.k_max}"
+    return _chk(name, not sweep.found, "bounded verdict")
+
+
+def _check_l_abna(run: _Replay) -> list[CheckResult]:
+    dfa = run.build().dfa
+    printed = make_rep(1, _AB, ["a"], ["b"], ["a"])
+    return [
+        _printed_rep_check("window-testable-at-1", dfa, printed, "representation ({a},{b},{a},{})"),
+        _chk("not-definite", is_definite(dfa).value == "no"),
+    ]
+
+
+def _check_mon_to_slt1(run: _Replay) -> list[CheckResult]:
+    dfa = run.build().dfa
+    rep = definite_to_slt((), ("",), _AB)
+    v = list(_AB.symbols)
+    return [
+        _chk("monoidal", is_monoidal(dfa).value == "yes"),
+        _chk("window-rep-is-(V,V,V,{_})", rep.k == 1 and rep.sorted_fields() == (v, v, v, [""])),
+        _chk("rep-equivalent-to-universe", are_equivalent(slt_to_dfa(rep), dfa).equal),
+    ]
+
+
+def _check_comb_to_slt1(run: _Replay) -> list[CheckResult]:
+    dfa = run.build().dfa
+    comb = is_combinational(dfa)
+    rep = make_rep(1, _AB, _AB.symbols, _AB.symbols, comb.payload or ())
+    return [
+        _chk("combinational", comb.value == "yes" and comb.payload == ("b",), "X={b}"),
+        _chk("window-rep-(V,V,X,{})-equivalent", are_equivalent(slt_to_dfa(rep), dfa).equal),
+        _chk("window-testable-at-1", bool(is_slt_k(dfa, 1))),
+    ]
+
+
+def _check_def_to_slt(run: _Replay) -> list[CheckResult]:
+    dfa = run.build().dfa
+    rep = definite_to_slt(("a",), ("ab",), _AB)
+    return [
+        _chk("definite", is_definite(dfa).value == "yes"),
+        _chk("construction-equivalent", are_equivalent(slt_to_dfa(rep), dfa).equal, f"k={rep.k}"),
+    ]
+
+
+def _check_slt_hierarchy(run: _Replay) -> list[CheckResult]:
+    handle, h = run.build(), run.param
+    low = is_slt_k(handle.dfa, h)
+    return [
+        _chk(f"window-testable-at-{h + 1}", bool(is_slt_k(handle.dfa, h + 1))),
+        _chk(f"not-window-testable-at-{h}", not low, f"witness={low.witness or '_'}"),
+        _chk("matches-block-oracle", handle.bounded_words(run.max_len) == run.oracle()),
+    ]
+
+
+def _check_lk_fin(run: _Replay) -> list[CheckResult]:
+    dfa, k = run.build().dfa, run.param
+    res = is_slt_k(dfa, k)
+    return [
+        _chk("finite", is_finite(dfa).value == "yes"),
+        _chk(
+            f"not-window-testable-at-{k}",
+            not res and res.witness == "a" * k,
+            f"canonical candidate admits {res.witness or '_'}",
+        ),
+    ]
+
+
+def _check_l_ec_35(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    ord1 = is_orderable(g.pairs[1].selector.dfa)
+    cert = ord1.payload
+    return [
+        _chk("selector-0-orderable", is_orderable(g.pairs[0].selector.dfa).value == "yes"),
+        _chk(
+            "selector-1-orderable-2-states",
+            ord1.value == "yes" and cert.dfa.n_states == 2 and verify_order(cert.dfa, cert.order),
+        ),
+        _sweep_check("selector-1", g.pairs[1].selector.dfa, run.k_max),
+        _generation_check("external-generation-matches-oracle", run, g)[0],
+        _scope("not-EC(SLT)"),
+    ]
+
+
+def _check_l_ic_32(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    printed = make_rep(1, Alphabet.of("b"), ["b"], ["b"], ["b"])
+    return [
+        _printed_rep_check(
+            "selector-window-testable-at-1",
+            g.pairs[0].selector.dfa,
+            printed,
+            "representation ({b},{b},{b},{})",
+        ),
+        _generation_check("internal-generation-matches-oracle", run, g)[0],
+        _scope("not-IC(COMB)"),
+    ]
+
+
+def _check_l_ic_33(run: _Replay) -> list[CheckResult]:
+    n = run.param
+    g_slt, g_fin = ic33_grammars(n)
+    sel = g_slt.pairs[0].selector
+    printed = make_rep(n, _ABC, ["a" * n], _ABC.words_of_length(n), ["c" * n])
+    generation, out_slt, _ = _generation_check("generation-matches-oracle", run, g_slt)
+    return [
+        _printed_rep_check(f"selector-window-testable-at-{n}", sel.dfa, printed),
+        _chk("finite-selector-finite", is_finite(g_fin.pairs[0].selector.dfa).value == "yes"),
+        _chk(
+            "short-axiom-never-selected",
+            not sel.contains(g_slt.axioms[1]),
+            f"axiom {g_slt.axioms[1]}",
+        ),
+        generation,
+        _chk("both-grammars-agree", out_slt == run.generate(g_fin)),
+        _scope(f"not-IC(SLT{n - 1})"),
+    ]
+
+
+def _check_l_ic_34(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    return [
+        _chk("selector-ac-window-testable-at-1", bool(is_slt_k(g.pairs[0].selector.dfa, 1))),
+        _chk("selector-bd-window-testable-at-1", bool(is_slt_k(g.pairs[1].selector.dfa, 1))),
+        _generation_check("internal-generation-matches-oracle", run, g)[0],
+        _scope("not-IC(DEF)"),
+    ]
+
+
+def _check_l_ic_35(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    sel = g.pairs[0].selector
+    table = ic35_table_dfa()
+    generation, _, oracle = _generation_check("internal-generation-matches-oracle", run, g)
+    return [
+        _chk("axiom-is-minimal-element", g.axioms[0] == "ababaababa" == min(oracle, key=len)),
+        _chk("published-table-accepts-selector", are_equivalent(table, sel.dfa).equal),
+        _chk("published-order-is-monotone", verify_order(table, (0, 1, 2, 3))),
+        _chk("selector-orderable", is_orderable(sel.dfa).value == "yes"),
+        _sweep_check("selector", sel.dfa, run.k_max),
+        generation,
+        _scope("not-IC(SLT)"),
+    ]
+
+
+def _check_dyck(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    generation, words, _ = _generation_check("generation-matches-balance-counter", run, g)
+    return [
+        _chk("selector-monoidal", is_monoidal(g.pairs[0].selector.dfa).value == "yes"),
+        generation,
+        _chk("all-generated-words-balanced", all(is_balanced(w) for w in words)),
+    ]
+
+
+def _check_kk(run: _Replay) -> list[CheckResult]:
+    g = run.build()
+    sel = g.pairs[0].selector
+    return [
+        _chk("selector-suffix-closed", is_suffix_closed(sel.dfa).value == "yes"),
+        _chk("selector-finite", is_finite(sel.dfa).value == "yes"),
+        _generation_check("internal-generation-matches-oracle", run, g)[0],
+        _scope(f"not-IC(SLT{run.param})"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the witness table
+
+
+class Witness(NamedTuple):
+    """One witness id: how to parse, build, enumerate and verify it."""
+
+    build: Callable[..., LanguageHandle | ContextualGrammar]  # called with the parameter, if any
+    check: Callable[[_Replay], list[CheckResult]]
+    params: range | None = None  # supported parameters; None: the id takes none
+    verify_all: tuple[int | None, ...] = (None,)  # what `verify --lemma all` runs
+    oracle: str | None = None  # the name of an oracle function of this module
+    mode: str | None = None  # derivation mode of a grammar witness
+    max_len: int = 12  # default `verify` length
+
+
+# in `verify --lemma all` order; every grammar witness has an oracle
+WITNESSES: dict[str, Witness] = {
+    "l-abna": Witness(lambda: LanguageHandle.from_regex("a|ab*a", _AB), _check_l_abna),
+    "mon-to-slt1": Witness(lambda: LanguageHandle.from_regex("(a|b)*", _AB), _check_mon_to_slt1),
+    "comb-to-slt1": Witness(lambda: LanguageHandle.from_regex("(a|b)*b", _AB), _check_comb_to_slt1),
+    "def-to-slt": Witness(lambda: LanguageHandle.from_regex("a|(a|b)*ab", _AB), _check_def_to_slt),
+    "slt-hierarchy": Witness(
+        _hierarchy_language, _check_slt_hierarchy, range(1, 5), (1, 2, 3), "hierarchy_oracle"
+    ),
+    "lk-fin": Witness(
+        lambda k: LanguageHandle.from_regex("a" * (k + 1), Alphabet.of("a")),
+        _check_lk_fin,
+        range(1, 5),
+        (1, 2, 3, 4),
+    ),
+    "l-ec-35": Witness(ec35_grammar, _check_l_ec_35, oracle="ec35_oracle", mode="ex"),
+    "l-ic-32": Witness(ic32_grammar, _check_l_ic_32, oracle="ic32_oracle", mode="in"),
+    "l-ic-33": Witness(
+        lambda n: ic33_grammars(n)[0], _check_l_ic_33, _IC33_SIZES, (2, 3), "ic33_oracle", "in"
+    ),
+    "l-ic-34": Witness(ic34_grammar, _check_l_ic_34, oracle="ic34_oracle", mode="in"),
+    "l-ic-35": Witness(ic35_grammar, _check_l_ic_35, oracle="ic35_oracle", mode="in", max_len=14),
+    "dyck": Witness(dyck_grammar, _check_dyck, oracle="dyck_words_upto", mode="in"),
+    "kk": Witness(kk_grammar, _check_kk, _KK_SIZES, (1, 2), "kk_oracle_upto", "in"),
+}

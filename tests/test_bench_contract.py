@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from sublang import families
+from sublang import families, witnesses
 from sublang.cli import main
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
@@ -39,6 +39,11 @@ def test_tracer_family_table_is_the_program_table(tracing):
     assert tracing.FAMILY_PROCEDURES == families.FAMILY_PROCEDURES
 
 
+def test_tracer_times_every_oracle_of_the_witness_table(tracing):
+    traced = {attr for name, _, attr, _ in tracing.Tracer()._targets() if name == "witnesses.oracle"}
+    assert {w.oracle for w in witnesses.WITNESSES.values() if w.oracle} <= traced
+
+
 def test_tracer_finds_its_targets_records_spans_and_restores_the_program(tracing, capsys):
     tracer = tracing.Tracer()
     targets = tracer._targets()
@@ -51,11 +56,18 @@ def test_tracer_finds_its_targets_records_spans_and_restores_the_program(tracing
             assert (id(owner), attr) in rebound, name
         assert main(["classify", "--porcelain", "--input", "regex:a|ab*a"]) == 0
         assert main(["verify", "--lemma", "l-abna"]) == 0
+        assert main(["verify", "--lemma", "dyck"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     for name in SPANS:
         assert tracer.calls[name] > 0, name
+    # the lemma checks reach the oracle and the grammar engine through the
+    # rebound module names: one span per lemma, one oracle and one closure
+    # for dyck, none for the language witness l-abna
+    assert tracer.calls["witnesses.verify_lemma"] == 2
+    assert tracer.calls["witnesses.oracle"] == 1
+    assert tracer.calls["grammars.generate"] == 1
     assert tracer._patched == []
     for owner, attr, original in patched:
         held = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)

@@ -147,6 +147,20 @@ def test_verify_rejects_unknown_id(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--input", "regex:a|ab*a", "--k-max", "0"),
+        ("classify", "--porcelain", "--input", "regex:a|ab*a", "--k-max", "-2"),
+        ("verify", "--lemma", "all", "--k-max", "0"),
+        ("verify", "--lemma", "dyck", "--k-max", "-1"),
+    ],
+)
+def test_k_max_below_one_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: k_max must be >= 1\n")
+
+
 def test_compare_grammar_vs_oracle(capsys, dyck_path):
     code, out, _ = run(
         capsys,

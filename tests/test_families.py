@@ -36,7 +36,6 @@ from sublang.families import (
     is_orderable,
     is_power_separating,
     is_suffix_closed,
-    is_union_free_syntactic,
     verify_order,
 )
 from sublang.regexes import compile_regex, parse_regex
@@ -341,12 +340,6 @@ def test_orientation_conflict_settles_length_n():
     # a conflict at n leaves the longer chains to the search
     d = compile_regex("a|ab*a", AB)
     assert _orientation_conflict(minimize(d)) and is_orderable(d).value == "yes"
-
-
-def test_is_union_free_syntactic():
-    assert is_union_free_syntactic(parse_regex("ab*a"))
-    assert not is_union_free_syntactic(parse_regex("a|ab*a"))
-    assert not is_union_free_syntactic(parse_regex("((a|b)c)*"))
 
 
 def test_classify_lemma_language():

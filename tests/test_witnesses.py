@@ -1,8 +1,10 @@
 import pytest
 
+from sublang import witnesses
 from sublang.automata import InputError
 from sublang.grammars import ContextualGrammar, LanguageHandle, validate_grammar
 from sublang.witnesses import (
+    WITNESSES,
     build_witness,
     default_witness_ids,
     dyck_words_upto,
@@ -19,9 +21,33 @@ from sublang.witnesses import (
 def test_parse_witness_id():
     assert parse_witness_id("l-abna") == ("l-abna", None)
     assert parse_witness_id("kk(2)") == ("kk", 2)
-    for bad in ("kk", "kk(9)", "l-abna(1)", "nope", "l-ic-33(1)"):
-        with pytest.raises(InputError):
+    errors = {
+        "kk": "witness 'kk' needs a parameter, e.g. kk(1)",
+        "kk(0)": "parameter 0 for 'kk' outside supported range 1..4",
+        "kk(9)": "parameter 9 for 'kk' outside supported range 1..4",
+        "lk-fin(5)": "parameter 5 for 'lk-fin' outside supported range 1..4",
+        "l-ic-33(1)": "parameter 1 for 'l-ic-33' outside supported range 2..3",
+        "l-abna(1)": "witness 'l-abna' takes no parameter",
+        "nope": "unknown witness id 'nope'",
+        "Bad Id!": "malformed witness id 'Bad Id!'",
+    }
+    for bad, message in errors.items():
+        with pytest.raises(InputError) as exc:
             parse_witness_id(bad)
+        assert str(exc.value) == message, bad
+
+
+def test_witness_table_entries():
+    for name, w in WITNESSES.items():
+        if w.params is None:
+            assert w.verify_all == (None,), name
+        else:
+            assert w.verify_all and set(w.verify_all) <= set(w.params), name
+        built = build_witness(name if w.params is None else f"{name}({w.verify_all[0]})")
+        if isinstance(built, ContextualGrammar):
+            assert w.mode in ("ex", "in") and callable(getattr(witnesses, w.oracle)), name
+        else:
+            assert w.mode is None, name
 
 
 def test_build_witness_shapes():
