@@ -7,7 +7,6 @@ from .automata import (
     InputError,
     Nfa,
     are_equivalent,
-    bool_op,
     complement,
     difference,
     enumerate_upto,

@@ -26,6 +26,14 @@ def check_window_space(alphabet: Alphabet, k: int) -> None:
         raise InputError(f"window space |V|^{k} too large")
 
 
+EMPTY_TOKEN = "_"
+
+
+def word_to_token(word: str) -> str:
+    """The word as printed: `_` stands for the empty word."""
+    return word if word else EMPTY_TOKEN
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of single-character symbols.
@@ -147,18 +155,6 @@ class Dfa:
         return q is not None and q in self.accepting
 
 
-def reachable_states(d: Dfa) -> set[int]:
-    seen = {d.start}
-    queue = deque([d.start])
-    while queue:
-        q = queue.popleft()
-        for t in d.transitions[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
-
-
 def accept_distances(d: Dfa) -> list[int | None]:
     """The fewest steps from each state to an accepting state, or None for
     a state that reaches none: a breadth-first search backward from the
@@ -243,6 +239,13 @@ def explore(start, succ, n_sym: int) -> tuple[list, list[tuple[int, ...]]]:
             row.append(j)
         rows.append(tuple(row))
     return nodes, rows
+
+
+def reachable_states(d: Dfa) -> set[int]:
+    if d.minimal:  # every state of a minimal DFA is reachable
+        return set(range(d.n_states))
+    trans = d.transitions
+    return set(explore(d.start, lambda q, i: trans[q][i], len(d.alphabet))[0])
 
 
 def _renumber(d: Dfa, minimal: bool = False) -> Dfa:
@@ -347,20 +350,6 @@ def union(l1: Dfa, l2: Dfa) -> Dfa:
 
 def difference(l1: Dfa, l2: Dfa) -> Dfa:
     return _product(l1, l2, lambda a, b: a and not b)
-
-
-def bool_op(kind: str, l1: Dfa, l2: Dfa | None = None) -> Dfa:
-    """Set-theoretic combination; complement is relative to V*."""
-    if kind == "complement":
-        if l2 is not None:
-            raise InputError("complement takes a single operand")
-        return complement(l1)
-    if l2 is None:
-        raise InputError(f"{kind} needs two operands")
-    ops = {"intersect": intersect, "union": union, "difference": difference}
-    if kind not in ops:
-        raise InputError(f"unknown boolean operation {kind!r}")
-    return ops[kind](l1, l2)
 
 
 @dataclass(frozen=True)

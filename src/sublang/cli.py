@@ -10,14 +10,13 @@ import argparse
 import functools
 import sys
 
-from .automata import Alphabet, InputError, enumerate_upto
+from .automata import Alphabet, InputError, enumerate_upto, word_to_token
 from .families import classify, definite_to_slt
 from .formats import (
     parse_dfa_file,
     parse_grammar_file,
     parse_slt_file,
     render_slt,
-    word_to_token,
 )
 from .grammars import (
     ContextualGrammar,

@@ -10,6 +10,7 @@ exists.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .automata import (
@@ -26,9 +27,10 @@ from .automata import (
     minimize,
     reachable_states,
     universe_dfa,
+    word_to_token,
 )
 from .regexes import RegexAst, is_union_free, render_regex
-from .slt import SltRep, check_k_max, default_k_max, infer_slt, make_rep, slt_to_dfa
+from .slt import SltRep, check_k_max, default_k_max, infer_slt, is_slt_k, make_rep, slt_to_dfa
 
 # Family tag -> name of its decision procedure in this module, in report
 # order.  The name is resolved when the family is decided, so a rebinding
@@ -79,10 +81,6 @@ def _no(evidence: str | None = None, payload: object = None) -> Verdict:
     return Verdict("no", evidence=evidence, payload=payload)
 
 
-def _fmt(word: str) -> str:
-    return word if word else "_"
-
-
 # ---------------------------------------------------------------------------
 # finite / monoidal / nilpotent / combinational
 
@@ -92,14 +90,14 @@ def is_finite(d: Dfa) -> Verdict:
     if pump is None:
         return _yes()
     u, v, w = pump
-    return _no(f"pumpable: {_fmt(u)}({v})*{_fmt(w)}", payload=pump)
+    return _no(f"pumpable: {word_to_token(u)}({v})*{word_to_token(w)}", payload=pump)
 
 
 def is_monoidal(d: Dfa) -> Verdict:
     eq = are_equivalent(d, universe_dfa(d.alphabet))
     if eq.equal:
         return _yes()
-    return _no(f"witness={_fmt(eq.witness)}", payload=eq.witness)
+    return _no(f"witness={word_to_token(eq.witness)}", payload=eq.witness)
 
 
 def is_nilpotent(d: Dfa) -> Verdict:
@@ -122,7 +120,7 @@ def is_combinational(d: Dfa) -> Verdict:
     eq = are_equivalent(d, candidate)
     if eq.equal:
         return _yes(f"X={{{','.join(letters)}}}", payload=letters)
-    return _no(f"witness={_fmt(eq.witness)}", payload=eq.witness)
+    return _no(f"witness={word_to_token(eq.witness)}", payload=eq.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def is_suffix_closed(d: Dfa) -> Verdict:
     )
     if witness is None:
         return _yes()
-    return _no(f"suffix {_fmt(witness)} of an accepted word is rejected", payload=witness)
+    return _no(f"suffix {word_to_token(witness)} of an accepted word is rejected", payload=witness)
 
 
 def is_commutative(d: Dfa) -> Verdict:
@@ -260,7 +258,7 @@ def is_commutative(d: Dfa) -> Verdict:
             )
             source = next(s for s in swaps if d.accepts(s))
             return _no(
-                f"swap of {_fmt(source)} gives {_fmt(witness)} which is rejected",
+                f"swap of {word_to_token(source)} gives {word_to_token(witness)} which is rejected",
                 payload=(source, witness),
             )
     return _yes()
@@ -291,7 +289,7 @@ def is_circular(d: Dfa) -> Verdict:
         return _yes()
     source = witness[-1] + witness[:-1]
     return _no(
-        f"rotation {_fmt(witness)} of {_fmt(source)} is rejected",
+        f"rotation {word_to_token(witness)} of {word_to_token(source)} is rejected",
         payload=(source, witness),
     )
 
@@ -712,7 +710,7 @@ def is_noncounting(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     m = monoid if monoid is not None else TransitionMonoid(dm)
     for word, _, period, _ in m.counters():
         return _no(
-            f"word {_fmt(word)} has eventual period {period}",
+            f"word {word_to_token(word)} has eventual period {period}",
             payload=(word, period),
         )
     return _yes(f"aperiodic transition monoid (size {len(m)})", payload=len(m))
@@ -732,7 +730,7 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     for word, tail, period, mixed in m.counters():
         if mixed:
             return _no(
-                f"powers of {_fmt(word)} mix accept/reject on their cycle "
+                f"powers of {word_to_token(word)} mix accept/reject on their cycle "
                 f"(cycle start {tail}, period {period})",
                 payload=(word, tail, period),
             )
@@ -743,15 +741,42 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
 # classification report
 
 
-def decide_family(tag: str, d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
-    """Verdict of the family `tag`; `monoid`, the transition monoid of the
-    minimal automaton, is shared by the procedures that need it.  It is
-    extended lazily, so each procedure builds only as much of it as its
-    answer needs, and what one builds the next reuses."""
-    procedure = globals()[FAMILY_PROCEDURES[tag]]
-    if tag in _MONOID_FAMILIES:
-        return procedure(d, monoid)
-    return procedure(d)
+class UnknownFamilyTag(InputError):
+    """A family tag that names no family."""
+
+
+def _slt_width(tag: str) -> int | None:
+    """The k of a tag SLT<k> with k >= 1, else None."""
+    m = re.fullmatch(r"SLT([1-9][0-9]*)", tag)
+    return int(m[1]) if m else None
+
+
+def decide_family(
+    tag: str, d: Dfa, monoid: TransitionMonoid | None = None, source_expr: object = None
+) -> Verdict:
+    """Verdict of the family `tag`, for any tag a report row or a declared
+    family can name: a FAMILY_PROCEDURES tag, UF (certified only by a
+    union-free regex `source_expr`), SLT<k>, or SLT, the report's overall
+    row at the default window cap; any other tag raises UnknownFamilyTag.
+    `monoid`, the transition monoid of the minimal automaton, is shared by
+    the procedures that need it.  It is extended lazily, so each procedure
+    builds only as much of it as its answer needs, and what one builds the
+    next reuses."""
+    if tag in FAMILY_PROCEDURES:
+        procedure = globals()[FAMILY_PROCEDURES[tag]]
+        return procedure(d, monoid) if tag in _MONOID_FAMILIES else procedure(d)
+    if tag == "UF":
+        if isinstance(source_expr, RegexAst) and is_union_free(source_expr):
+            return _yes(f"union-free expression: {render_regex(source_expr)}")
+        return Verdict("unknown", evidence="no union-free expression certificate; syntactic check only")
+    if tag == "SLT":
+        dm = d if d.minimal else minimize(d)
+        return _slt_rows(dm, None, is_definite(dm), is_noncounting(dm, monoid))[-1][1]
+    k = _slt_width(tag)
+    if k is None:
+        raise UnknownFamilyTag(f"unknown family tag {tag!r}")
+    res = is_slt_k(d, k)
+    return _slt_k_verdict(res.rep, res.witness)
 
 
 @dataclass(frozen=True)
@@ -796,54 +821,39 @@ def classify(
     check_k_max(k_max)
     dm = minimize(d)
     monoid = TransitionMonoid(dm)
-
-    verdicts = {tag: decide_family(tag, dm, monoid) for tag in FAMILY_PROCEDURES}
-    if source_expr is not None and is_union_free(source_expr):
-        verdicts["UF"] = _yes(f"union-free expression: {render_regex(source_expr)}")
-    else:
-        verdicts["UF"] = Verdict(
-            "unknown", evidence="no union-free expression certificate; syntactic check only"
-        )
-
-    slt_rows, slt_overall = _slt_verdicts(dm, k_max, verdicts["DEF"], verdicts["NC"])
-
-    entries = [(name, verdicts[name]) for name in FAMILY_BASE_ORDER]
-    entries.extend((f"SLT{k}", v) for k, v in slt_rows)
-    entries.append(("SLT", slt_overall))
-    return ClassificationReport(d.alphabet, tuple(entries))
+    verdicts = {tag: decide_family(tag, dm, monoid, source_expr) for tag in FAMILY_BASE_ORDER}
+    slt_rows = _slt_rows(dm, k_max, verdicts["DEF"], verdicts["NC"])
+    return ClassificationReport(d.alphabet, (*verdicts.items(), *slt_rows))
 
 
-def _slt_verdicts(
+def _slt_rows(
     dm: Dfa, k_max: int | None, def_verdict: Verdict, nc_verdict: Verdict
-) -> tuple[list[tuple[int, Verdict]], Verdict]:
+) -> list[tuple[str, Verdict]]:
+    """The report's SLT<k> rows, then its overall SLT row."""
     if nc_verdict.value == "no":
         # SLT_k languages are star-free for every k, so this "no" is exact.
         v = _no("not star-free", payload=nc_verdict.payload)
-        return [(1, v)], v
+        return [("SLT1", v), ("SLT", v)]
     if k_max is None:
-        k_cap = default_k_max(dm)
+        k_max = default_k_max(dm)
         if def_verdict.value == "yes":
             # a definite language is window-representable with
             # k <= (number of state pairs) + 1, so extend far enough
-            k_cap = max(k_cap, dm.n_states * (dm.n_states - 1) // 2 + 1)
-    else:
-        k_cap = k_max
-    sweep = infer_slt(dm, k_cap)
-    rows = [(k, _no(f"witness={_fmt(w)}", payload=w)) for k, w in enumerate(sweep.per_k_witness, 1)]
+            k_max = max(k_max, dm.n_states * (dm.n_states - 1) // 2 + 1)
+    sweep = infer_slt(dm, k_max)
+    rows = [(f"SLT{k}", _slt_k_verdict(None, w)) for k, w in enumerate(sweep.per_k_witness, 1)]
     if sweep.found_k is None:
-        return rows, Verdict("unknown", bound=k_cap)
-    rows.append((sweep.found_k, _yes(_render_rep(sweep.rep), payload=sweep.rep)))
-    return rows, _yes(f"k={sweep.found_k}", payload=sweep.rep)
+        return [*rows, ("SLT", Verdict("unknown", bound=k_max))]
+    found = (f"SLT{sweep.found_k}", _slt_k_verdict(sweep.rep, None))
+    return [*rows, found, ("SLT", _yes(f"k={sweep.found_k}", payload=sweep.rep))]
 
 
-def _render_rep(rep: SltRep | None) -> str:
-    assert rep is not None
-    p, i, s, f = rep.sorted_fields()
-
-    def fs(ws: list[str]) -> str:
-        return "{" + ",".join(_fmt(w) for w in ws) + "}"
-
-    return f"k={rep.k} B={fs(p)} I={fs(i)} E={fs(s)} F={fs(f)}"
+def _slt_k_verdict(rep: SltRep | None, witness: str | None) -> Verdict:
+    """An SLT<k> row: its window sets on "yes", the separating word on "no"."""
+    if rep is None:
+        return _no(f"witness={word_to_token(witness)}", payload=witness)
+    p, i, s, f = (",".join(map(word_to_token, ws)) for ws in rep.sorted_fields())
+    return _yes(f"k={rep.k} B={{{p}}} I={{{i}}} E={{{s}}} F={{{f}}}", payload=rep)
 
 
 # Implications of the family hierarchy used as report self-checks:
@@ -873,7 +883,7 @@ def implication_violations(report: ClassificationReport) -> list[str]:
                 out.append(f"{a} yes but {b} no")
     # SLT_k yes must propagate upward to every larger k in the report
     # and to the SLT row itself.
-    slt_ks = [(int(name[3:]), v) for name, v in report.entries if name.startswith("SLT") and name != "SLT"]
+    slt_ks = [(k, v) for name, v in report.entries if (k := _slt_width(name))]
     found = [k for k, v in slt_ks if v.value == "yes"]
     if found:
         k0 = min(found)

@@ -9,12 +9,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, InputError
+from .automata import EMPTY_TOKEN, Alphabet, Dfa, InputError, word_to_token
 from .grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair
 from .regexes import RegexAst, parse_regex, render_regex, symbols_of
 from .slt import SltRep, make_rep
-
-EMPTY_TOKEN = "_"
 
 
 class FormatError(InputError):
@@ -26,10 +24,6 @@ def word_from_token(token: str, alphabet: Alphabet, where: str) -> str:
     if not alphabet.covers(word):
         raise FormatError(f"{where}: word {token!r} not over alphabet {''.join(alphabet.symbols)!r}")
     return word
-
-
-def word_to_token(word: str) -> str:
-    return word if word else EMPTY_TOKEN
 
 
 def _logical_lines(text: str, source: str):

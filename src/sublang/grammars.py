@@ -21,10 +21,11 @@ from .automata import (
     enumerate_upto,
     longest_accepted_length,
     minimize,
+    word_to_token,
 )
-from .families import FAMILY_PROCEDURES, decide_family
-from .regexes import RegexAst, compile_regex, is_union_free, parse_regex
-from .slt import SltRep, infer_slt, is_slt_k, slt_to_dfa
+from .families import UnknownFamilyTag, decide_family
+from .regexes import RegexAst, compile_regex, parse_regex
+from .slt import SltRep, slt_to_dfa
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,13 @@ class Diagnostic:
     message: str
 
 
+# a declared family's diagnostic by its verdict; "yes" gives none
+_DECLARED_FAMILY_DIAGNOSTICS = {
+    "no": ("error", "selector fails the declared family {}: {}"),
+    "unknown": ("warning", "declared family {} not confirmed: {}"),
+}
+
+
 def validate_grammar(g: ContextualGrammar) -> list[Diagnostic]:
     """Structural and declared-family checks; errors mean the grammar is invalid."""
     out: list[Diagnostic] = []
@@ -103,7 +111,8 @@ def validate_grammar(g: ContextualGrammar) -> list[Diagnostic]:
         out.append(Diagnostic("error", "base alphabet is empty"))
     for w in g.axioms:
         if not g.alphabet.covers(w):
-            out.append(Diagnostic("error", f"axiom {w or '_'!r} uses symbols outside the base alphabet"))
+            message = f"axiom {word_to_token(w)!r} uses symbols outside the base alphabet"
+            out.append(Diagnostic("error", message))
     if not g.pairs:
         out.append(Diagnostic("warning", "grammar has no selection pairs"))
     for idx, pair in enumerate(g.pairs):
@@ -128,50 +137,22 @@ def validate_grammar(g: ContextualGrammar) -> list[Diagnostic]:
                         f"{where}: selector alphabet symbol {sym!r} outside the base alphabet",
                     )
                 )
-        if pair.declared_family:
-            diag = _check_declared_family(pair.selector, pair.declared_family)
-            if diag:
-                out.append(Diagnostic(diag[0], f"{where}: {diag[1]}"))
+        family = (pair.declared_family or "").upper()
+        if not family:
+            continue
+        try:
+            verdict = decide_family(family, pair.selector.dfa, source_expr=pair.selector.source)
+        except UnknownFamilyTag as exc:
+            out.append(Diagnostic("error", f"{where}: {exc}"))
+            continue
+        if verdict.value in _DECLARED_FAMILY_DIAGNOSTICS:
+            severity, text = _DECLARED_FAMILY_DIAGNOSTICS[verdict.value]
+            out.append(Diagnostic(severity, f"{where}: " + text.format(family, verdict.render())))
     return out
 
 
 def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
     return not any(d.severity == "error" for d in diagnostics)
-
-
-def _check_declared_family(handle: LanguageHandle, family: str) -> tuple[str, str] | None:
-    d = handle.dfa
-    family = family.upper()
-    if family in FAMILY_PROCEDURES:
-        verdict = decide_family(family, d)
-        if verdict.value == "no":
-            return ("error", f"selector fails the declared family {family}: {verdict.render()}")
-        if verdict.value == "unknown":
-            return ("warning", f"declared family {family} not confirmed: {verdict.render()}")
-        return None
-    if family.startswith("SLT") and family != "SLT":
-        try:
-            k = int(family[3:])
-        except ValueError:
-            return ("error", f"unknown family tag {family!r}")
-        if not is_slt_k(d, k):
-            return ("error", f"selector is not strictly locally {k}-testable")
-        return None
-    if family == "SLT":
-        res = infer_slt(d)
-        if not res.found:
-            return (
-                "warning",
-                f"selector not confirmed strictly locally testable up to k={res.k_max}",
-            )
-        return None
-    if family == "UF":
-        if isinstance(handle.source, RegexAst):
-            if is_union_free(handle.source):
-                return None
-            return ("error", "selector expression contains a union")
-        return ("warning", "union-freeness cannot be certified without an expression")
-    return ("error", f"unknown family tag {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +327,7 @@ class NotDerivable(Exception):
     """Target not derivable within the given bound."""
 
     def __init__(self, target: str, max_len: int):
-        super().__init__(f"{target or '_'!r} is not derivable within length {max_len}")
+        super().__init__(f"{word_to_token(target)!r} is not derivable within length {max_len}")
         self.target = target
         self.max_len = max_len
 
@@ -408,8 +389,8 @@ class CompareReport:
         if self.equal:
             return [f"equal up to length {self.max_len}"]
         out = [f"different up to length {self.max_len}"]
-        out.extend(f"left only: {w or '_'}" for w in self.left_only)
-        out.extend(f"right only: {w or '_'}" for w in self.right_only)
+        out.extend(f"left only: {word_to_token(w)}" for w in self.left_only)
+        out.extend(f"right only: {word_to_token(w)}" for w in self.right_only)
         return out
 
 

@@ -275,13 +275,13 @@ def check_k_max(k_max: int | None) -> None:
         raise InputError("k_max must be >= 1")
 
 
-def infer_slt(d: Dfa, k_max: int | None = None, k_start: int = 1) -> InferSltResult:
+def infer_slt(d: Dfa, k_max: int | None = None) -> InferSltResult:
     """Smallest k <= k_max admitting a representation, else a bounded negative."""
     check_k_max(k_max)
     if k_max is None:
         k_max = default_k_max(d)
     witnesses: list[str] = []
-    for k in range(k_start, k_max + 1):
+    for k in range(1, k_max + 1):
         res = is_slt_k(d, k)
         if res:
             return InferSltResult(k, res.rep, k_max, tuple(witnesses))

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .automata import Alphabet, Dfa, InputError, are_equivalent
+from .automata import Alphabet, Dfa, InputError, are_equivalent, word_to_token
 from .families import (
     definite_to_slt,
     is_combinational,
@@ -68,13 +68,13 @@ def parse_witness_id(text: str) -> tuple[str, int | None]:
     return name, value
 
 
+def _format_id(name: str, param: int | None) -> str:
+    return name if param is None else f"{name}({param})"
+
+
 def default_witness_ids() -> list[str]:
     """The ids `verify --lemma all` runs, in table order."""
-    return [
-        name if p is None else f"{name}({p})"
-        for name, witness in WITNESSES.items()
-        for p in witness.verify_all
-    ]
+    return [_format_id(name, p) for name, witness in WITNESSES.items() for p in witness.verify_all]
 
 
 def build_witness(witness_id: str) -> LanguageHandle | ContextualGrammar:
@@ -426,7 +426,8 @@ def verify_lemma(witness_id: str, max_len: int | None = None, k_max: int | None 
         max_len = witness.max_len
     _check_desk_scale(max_len)
     check_k_max(k_max)
-    return LemmaReport(witness_id, tuple(witness.check(_Replay(witness, param, max_len, k_max))))
+    checks = witness.check(_Replay(witness, param, max_len, k_max))
+    return LemmaReport(_format_id(name, param), tuple(checks))
 
 
 class _Replay(NamedTuple):
@@ -522,7 +523,7 @@ def _check_slt_hierarchy(run: _Replay) -> list[CheckResult]:
     low = is_slt_k(handle.dfa, h)
     return [
         _chk(f"window-testable-at-{h + 1}", bool(is_slt_k(handle.dfa, h + 1))),
-        _chk(f"not-window-testable-at-{h}", not low, f"witness={low.witness or '_'}"),
+        _chk(f"not-window-testable-at-{h}", not low, f"witness={word_to_token(low.witness)}"),
         _chk("matches-block-oracle", handle.bounded_words(run.max_len) == run.oracle()),
     ]
 
@@ -535,7 +536,7 @@ def _check_lk_fin(run: _Replay) -> list[CheckResult]:
         _chk(
             f"not-window-testable-at-{k}",
             not res and res.witness == "a" * k,
-            f"canonical candidate admits {res.witness or '_'}",
+            f"canonical candidate admits {word_to_token(res.witness)}",
         ),
     ]
 

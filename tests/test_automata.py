@@ -7,7 +7,6 @@ from sublang.automata import (
     Dfa,
     InputError,
     are_equivalent,
-    bool_op,
     complement,
     difference,
     dfa_for_words,
@@ -112,6 +111,8 @@ def test_bool_ops_against_brute_force():
         assert union(l1, l2).accepts(w) == (l1.accepts(w) or l2.accepts(w))
         assert difference(l2, l1).accepts(w) == (l2.accepts(w) and not l1.accepts(w))
         assert complement(l1).accepts(w) == (not l1.accepts(w))
+    with pytest.raises(InputError):
+        union(l1, compile_regex("a*", Alphabet.of("a")))
 
 
 def test_complement_is_involution():
@@ -131,18 +132,6 @@ def test_difference_of_universe_is_infinite():
     u, v, w = pump
     for i in range(4):
         assert d.accepts(u + v * i + w)
-
-
-def test_bool_op_dispatch_and_errors():
-    l1 = compile_regex("a*", AB)
-    with pytest.raises(InputError):
-        bool_op("complement", l1, l1)
-    with pytest.raises(InputError):
-        bool_op("xor", l1, l1)
-    with pytest.raises(InputError):
-        bool_op("union", l1, None)
-    with pytest.raises(InputError):
-        union(l1, compile_regex("a*", Alphabet.of("a")))
 
 
 def test_are_equivalent_self_and_witness():

@@ -304,6 +304,15 @@ def test_verify_porcelain(capsys):
     assert lines[-1] == "PASS"
 
 
+def test_verify_echoes_the_parsed_id(capsys):
+    code, out, _ = run(capsys, "verify", "--lemma", " dyck ", "--porcelain")
+    assert code == 0
+    assert all(line.startswith("lemma=dyck check=") for line in out.splitlines()[:-1])
+    code, out, _ = run(capsys, "verify", "--lemma", "kk(01)")
+    assert code == 0
+    assert out.splitlines()[0] == "kk(1): PASS"
+
+
 def test_compare_grammar_ex_source(capsys, tmp_path):
     path = tmp_path / "wrap.cg"
     path.write_text(

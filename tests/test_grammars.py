@@ -6,6 +6,7 @@ import generation_reference
 from conftest import random_regex_ast
 
 from sublang.automata import Alphabet, InputError, difference, is_empty_language
+from sublang.families import classify
 from sublang.grammars import (
     Context,
     ContextualGrammar,
@@ -257,6 +258,41 @@ def test_validate_grammar_examples():
     )
     diags = validate_grammar(wrong_family)
     assert any(d.severity == "error" and "MON" in d.message for d in diags)
+
+
+def declared_family_diagnostics(selector: LanguageHandle, family: str) -> list[tuple[str, str]]:
+    pair = SelectionPair(selector, (Context(selector.alphabet.symbols[0], ""),), family)
+    g = ContextualGrammar(selector.alphabet, (pair,), ("",))
+    return [(d.severity, d.message) for d in validate_grammar(g)]
+
+
+def test_declared_family_diagnostics_read_the_report_verdicts():
+    # (a|b)* = (a*b)*a* is union-free: the syntactic check settles nothing
+    assert declared_family_diagnostics(LanguageHandle.from_regex("(a|b)*", AB), "UF") == [
+        ("warning", "pair 0: declared family UF not confirmed: "
+         "unknown [no union-free expression certificate; syntactic check only]")
+    ]
+    assert declared_family_diagnostics(LanguageHandle.from_regex("(a*b)*a*", AB), "uf") == []
+    # definite with k = 7, past the default window cap of 6 over abc
+    definite = LanguageHandle.from_regex("(a|b|c)*a" + "(a|b|c)" * 6, Alphabet.of("abc"))
+    assert classify(definite.dfa).verdict("SLT").render() == "yes [k=7]"
+    assert declared_family_diagnostics(definite, "SLT") == []
+    assert declared_family_diagnostics(LanguageHandle.from_regex("(aa)*", AB), "SLT") == [
+        ("error", "pair 0: selector fails the declared family SLT: no [not star-free]")
+    ]
+    assert declared_family_diagnostics(LanguageHandle.from_regex("(a|b)*b", AB), "SLT2") == []
+    one_b = LanguageHandle.from_regex("a*ba*", AB)
+    assert classify(one_b.dfa).verdict("SLT2").render() == "no [witness=aa]"
+    assert declared_family_diagnostics(one_b, "SLT2") == [
+        ("error", "pair 0: selector fails the declared family SLT2: no [witness=aa]")
+    ]
+
+
+@pytest.mark.parametrize("family", ["SLT0", "SLT-1", "SLT01", "XYZ"])
+def test_declared_family_unknown_tags(family):
+    assert declared_family_diagnostics(LanguageHandle.from_regex("a*", AB), family) == [
+        ("error", f"pair 0: unknown family tag {family!r}")
+    ]
 
 
 def test_validate_grammar_selector_alphabet_containment():

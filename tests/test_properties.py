@@ -36,10 +36,12 @@ from sublang.automata import (
     union,
 )
 from sublang.families import (
+    FAMILY_BASE_ORDER,
     TransitionMonoid,
     _find_monotone_cover,
     _orientation_conflict,
     _power_cycle,
+    classify,
     decide_family,
     is_circular,
     is_commutative,
@@ -56,8 +58,9 @@ from sublang.grammars import (
     external_successors,
     generate_bounded,
     internal_successors,
+    validate_grammar,
 )
-from sublang.regexes import to_nfa
+from sublang.regexes import RegexAst, to_nfa
 from sublang.slt import canonical_rep, make_rep, slt_membership, slt_to_dfa
 from sublang.witnesses import build_witness, default_witness_ids
 
@@ -419,6 +422,38 @@ def test_sort_words_agrees_with_word_key(symbols, words):
     for u in words:
         for v in words:
             assert (u.translate(table) < v.translate(table)) == (alpha.word_key(u)[1] < alpha.word_key(v)[1])
+
+
+@st.composite
+def selectors(draw):
+    """A selection language over a, ab or abc: a random DFA, or a random
+    regex kept as the selector's source expression."""
+    alphabet = Alphabet.of(draw(st.sampled_from(("a", "ab", "abc"))))
+    if draw(st.booleans()):
+        return LanguageHandle.from_dfa(draw(dfas(4, alphabet)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return LanguageHandle.from_regex(random_regex_ast(rng, 3, "".join(alphabet.symbols)), alphabet)
+
+
+DECLARED_SEVERITIES = {"yes": [], "no": ["error"], "unknown": ["warning"]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(selectors())
+def test_declared_family_reads_the_report_verdict(sel):
+    """A selector declaring a family gets no diagnostic on "yes", an error
+    on "no" and a warning on "unknown" of decide_family, and that verdict's
+    value is the one of the classify row with the same tag."""
+    expr = sel.source if isinstance(sel.source, RegexAst) else None
+    rows = dict(classify(sel.dfa, source_expr=expr).entries)
+    for tag in (*FAMILY_BASE_ORDER, "SLT", "SLT1", "SLT2", "SLT3"):
+        pair = SelectionPair(sel, (Context(sel.alphabet.symbols[0], ""),), tag)
+        g = ContextualGrammar(sel.alphabet, (pair,), ("",))
+        severities = [d.severity for d in validate_grammar(g)]
+        verdict = decide_family(tag, sel.dfa, source_expr=sel.source)
+        assert severities == DECLARED_SEVERITIES[verdict.value], tag
+        if tag in rows:
+            assert verdict.value == rows[tag].value, tag
 
 
 @st.composite
