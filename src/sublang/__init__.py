@@ -39,15 +39,11 @@ from .grammars import (
     CompareReport,
     Context,
     ContextualGrammar,
-    DerivationStep,
-    DerivationTrace,
     Diagnostic,
     LanguageHandle,
-    NotDerivable,
     SelectionPair,
     StepCapExceeded,
     compare_bounded,
-    derivation_trace,
     external_successors,
     generate_bounded,
     internal_successors,

@@ -109,8 +109,9 @@ class Alphabet:
 class Dfa:
     """Complete DFA: the transition map is total on states x alphabet.
 
-    States are 0..n_states-1.  `minimal` is set only by minimize(); a
-    minimal Dfa has all states reachable and pairwise distinguishable.
+    States are 0..n_states-1.  `minimal` promises that the DFA is minimal
+    (all states reachable and pairwise distinguishable) and canonically
+    numbered, so minimize() returns it unchanged.
     """
 
     alphabet: Alphabet
@@ -266,6 +267,8 @@ def minimize(d: Dfa) -> Dfa:
     are then numbered by `_renumber`, which makes the result unique.
     Idempotent: minimize(minimize(d)) == minimize(d) exactly.
     """
+    if d.minimal:
+        return d
     n_sym = len(d.alphabet)
     old, trans = explore(d.start, lambda q, i: d.transitions[q][i], n_sym)
     acc = {j for j, q in enumerate(old) if q in d.accepting}

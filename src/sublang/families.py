@@ -135,7 +135,7 @@ def is_definite(d: Dfa) -> Verdict:
     two states stay distinguishable, i.e. membership that is not
     suffix-determined.
     """
-    dm = d if d.minimal else minimize(d)
+    dm = minimize(d)
     trans = dm.transitions
 
     def succ(node: tuple[int, int], i: int) -> tuple[int, int] | None:
@@ -534,7 +534,7 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     transition monoids); otherwise a failed search is reported as a
     bounded unknown.
     """
-    dm = d if d.minimal else minimize(d)
+    dm = minimize(d)
     nc = is_noncounting(dm, monoid)
     if nc.value == "no":
         return _no(
@@ -706,7 +706,7 @@ def is_noncounting(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     least word whose transformation has eventual period > 1, and builds
     the monoid only that far; "yes" needs the whole monoid and its size.
     """
-    dm = d if d.minimal else minimize(d)
+    dm = minimize(d)
     m = monoid if monoid is not None else TransitionMonoid(dm)
     for word, _, period, _ in m.counters():
         return _no(
@@ -724,7 +724,7 @@ def is_power_separating(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdi
     names the shortlex least word whose power cycle mixes acceptance and
     builds the monoid only that far; "yes" needs the whole monoid.
     """
-    dm = d if d.minimal else minimize(d)
+    dm = minimize(d)
     m = monoid if monoid is not None else TransitionMonoid(dm)
     # a cycle of period 1 cannot mix, so only the counters need a look
     for word, tail, period, mixed in m.counters():
@@ -770,7 +770,7 @@ def decide_family(
             return _yes(f"union-free expression: {render_regex(source_expr)}")
         return Verdict("unknown", evidence="no union-free expression certificate; syntactic check only")
     if tag == "SLT":
-        dm = d if d.minimal else minimize(d)
+        dm = minimize(d)
         return _slt_rows(dm, None, is_definite(dm), is_noncounting(dm, monoid))[-1][1]
     k = _slt_width(tag)
     if k is None:

@@ -52,15 +52,18 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
     n_states: int | None = None
     start: int | None = None
     accepting: set[int] = set()
-    trans: dict[tuple[int, str], tuple[int, str]] = {}  # (state, sym) -> (target, where)
+    trans: dict[tuple[int, str], int] = {}  # (state, sym) -> target
+    ids: list[tuple[int, str]] = []  # every state id read, with its line; range-checked at the end
+
+    def number(tok: str, where: str, what: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise FormatError(f"{where}: expected {what}, got {tok!r}") from None
 
     def state_id(tok: str, where: str) -> int:
-        try:
-            q = int(tok)
-        except ValueError:
-            raise FormatError(f"{where}: expected a state number, got {tok!r}") from None
-        if n_states is not None and not (0 <= q < n_states):
-            raise FormatError(f"{where}: state {q} out of range 0..{n_states - 1}")
+        q = number(tok, where, "a state number")
+        ids.append((q, where))
         return q
 
     for _, tokens, where in _logical_lines(text, source):
@@ -70,7 +73,7 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
         elif kind == "states":
             if len(rest) != 1:
                 raise FormatError(f"{where}: states line takes one number")
-            n_states = int(rest[0])
+            n_states = number(rest[0], where, "a number of states")
             if n_states < 1:
                 raise FormatError(f"{where}: need at least one state")
         elif kind == "start":
@@ -91,7 +94,7 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
             q = state_id(rest[2], where)
             if (p, sym) in trans:
                 raise FormatError(f"{where}: duplicate transition for (state {p}, {sym!r})")
-            trans[(p, sym)] = (q, where)
+            trans[(p, sym)] = q
         else:
             raise FormatError(f"{where}: unknown directive {kind!r}")
 
@@ -99,6 +102,9 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
         raise FormatError(f"{source}: missing alphabet line")
     if n_states is None:
         raise FormatError(f"{source}: missing states line")
+    for q, where in ids:
+        if not (0 <= q < n_states):
+            raise FormatError(f"{where}: state {q} out of range 0..{n_states - 1}")
     if start is None:
         raise FormatError(f"{source}: missing start line")
     rows = []
@@ -107,10 +113,8 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
         for sym in alphabet:
             if (p, sym) not in trans:
                 raise FormatError(f"{source}: missing transition for (state {p}, symbol {sym!r})")
-            row.append(trans[(p, sym)][0])
+            row.append(trans[(p, sym)])
         rows.append(tuple(row))
-    if any(not (0 <= q < n_states) for q in accepting):
-        raise FormatError(f"{source}: accepting state out of range")
     return Dfa(alphabet, n_states, start, frozenset(accepting), tuple(rows))
 
 

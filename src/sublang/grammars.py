@@ -43,7 +43,7 @@ class LanguageHandle:
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "LanguageHandle":
-        dm = d if d.minimal else minimize(d)
+        dm = minimize(d)
         return cls(dm.alphabet, dm, d, longest_accepted_length(dm))
 
     @classmethod
@@ -159,42 +159,6 @@ def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
 # derivation steps
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    pair_index: int
-    context: Context
-    split: tuple[int, int] | None  # internal: (i, j) bounds of the selected subword
-
-    def apply(self, word: str) -> str:
-        if self.split is None:
-            return self.context.left + word + self.context.right
-        i, j = self.split
-        return word[:i] + self.context.left + word[i:j] + self.context.right + word[j:]
-
-
-@dataclass(frozen=True)
-class DerivationTrace:
-    mode: str
-    axiom: str
-    steps: tuple[DerivationStep, ...]
-    final: str
-
-    def replay(self, g: ContextualGrammar) -> str:
-        """Re-run the recorded steps, checking each selection along the way."""
-        w = self.axiom
-        for step in self.steps:
-            pair = g.pairs[step.pair_index]
-            selected = w if step.split is None else w[step.split[0] : step.split[1]]
-            if not pair.selector.contains(selected):
-                raise RuntimeError(f"trace step selects {selected!r} outside its selection language")
-            if step.context not in pair.contexts:
-                raise RuntimeError("trace step uses a context not in its pair")
-            w = step.apply(w)
-        if w != self.final:
-            raise RuntimeError(f"trace replays to {w!r}, recorded final is {self.final!r}")
-        return w
-
-
 Successor = tuple[str, int, Context, tuple[int, int] | None]  # y, pair_index, context, split
 
 
@@ -205,8 +169,6 @@ def _successors(g: ContextualGrammar, mode: str, word: str, limit: int | None = 
     longer than word; given a limit, so are contexts that would make y
     longer than it, and a pair with none left is not scanned.
     """
-    if mode not in MODES:
-        raise InputError(f"derivation mode must be one of {MODES}, got {mode!r}")
     n = len(word)
     room = None if limit is None else limit - n
     for p_idx, pair in enumerate(g.pairs):
@@ -321,54 +283,6 @@ def generate_bounded(
                     layers[m].append(y)
         out.extend(layer)
     return out
-
-
-class NotDerivable(Exception):
-    """Target not derivable within the given bound."""
-
-    def __init__(self, target: str, max_len: int):
-        super().__init__(f"{word_to_token(target)!r} is not derivable within length {max_len}")
-        self.target = target
-        self.max_len = max_len
-
-
-def derivation_trace(
-    g: ContextualGrammar, mode: str, target: str, max_len: int | None = None
-) -> DerivationTrace:
-    """A shortest-step derivation of target from some axiom.
-
-    Ties break canonically: first-found in (pair, split, context) order
-    over a breadth-first search by step count.
-    """
-    bound = len(target) if max_len is None else max_len
-    if len(target) > bound:
-        raise InputError(f"target longer than max_len={bound}")
-    if not g.alphabet.covers(target):
-        raise NotDerivable(target, bound)
-    # intermediates never exceed the target length
-    limit = len(target)
-    parents: dict[str, tuple[str, Successor] | None] = dict.fromkeys(w for w in g.axioms if len(w) <= limit)
-    frontier = list(parents)
-    while frontier:
-        if target in parents:
-            break
-        nxt: list[str] = []
-        for w in frontier:
-            for step in _successors(g, mode, w, limit):
-                if step[0] not in parents:
-                    parents[step[0]] = (w, step)
-                    nxt.append(step[0])
-        frontier = nxt
-    if target not in parents:
-        raise NotDerivable(target, bound)
-    steps: list[DerivationStep] = []
-    cur = target
-    while parents[cur] is not None:
-        cur, (_, p_idx, ctx, split) = parents[cur]  # type: ignore[misc]
-        steps.append(DerivationStep(p_idx, ctx, split))
-    trace = DerivationTrace(mode, cur, tuple(reversed(steps)), target)
-    trace.replay(g)
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ _DEFAULT_WINDOW_BUDGET = 1 << 10
 
 def default_k_max(d: Dfa) -> int:
     """min(n_min**2 + 1, largest k with |V|**k within the window budget)."""
-    dm = d if d.minimal else minimize(d)
+    dm = minimize(d)
     bound = dm.n_states * dm.n_states + 1
     v = len(d.alphabet)
     if v >= 2:

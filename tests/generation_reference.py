@@ -1,11 +1,12 @@
 """Reference route for grammar generation, kept as a differential oracle.
 
 This is the heap-based closure: candidates come from one generator per
-mode that builds a `DerivationStep` for each of them, words are popped in
-(length, lex) order from a heap keyed by `Alphabet.word_key`, and the
-result is sorted once more at the end.  The package generates by length
-layers over one tuple-yielding successor kernel; output lists, step-cap
-partials, derivation traces and successor sets must agree exactly.
+mode that yields each of them with its step, a `(pair_index, context,
+split)` tuple; words are popped in (length, lex) order from a heap keyed
+by `Alphabet.word_key`, and the result is sorted once more at the end.
+The package generates by length layers over one successor kernel of its
+own; output lists, step-cap partials and successor sets must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -14,25 +15,21 @@ import heapq
 from typing import Iterator
 
 from sublang.automata import InputError
-from sublang.grammars import (
-    MODES,
-    ContextualGrammar,
-    DerivationStep,
-    DerivationTrace,
-    NotDerivable,
-)
+from sublang.grammars import MODES, Context, ContextualGrammar
+
+Step = tuple[int, Context, tuple[int, int] | None]  # pair_index, context, split
 
 
-def _external_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
+def _external_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Step]]:
     for p_idx, pair in enumerate(g.pairs):
         if pair.selector.contains(word):
             for ctx in pair.contexts:
                 if ctx.is_empty:
                     continue  # self-loop, discarded without changing the language
-                yield ctx.left + word + ctx.right, DerivationStep(p_idx, ctx, None)
+                yield ctx.left + word + ctx.right, (p_idx, ctx, None)
 
 
-def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, DerivationStep]]:
+def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Step]]:
     n = len(word)
     for p_idx, pair in enumerate(g.pairs):
         sel = pair.selector
@@ -52,7 +49,7 @@ def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Deri
                     for ctx in contexts:
                         yield (
                             word[:i] + ctx.left + word[i:j] + ctx.right + word[j:],
-                            DerivationStep(p_idx, ctx, (i, j)),
+                            (p_idx, ctx, (i, j)),
                         )
                 if j >= n or (bound is not None and j - i >= bound):
                     break
@@ -63,7 +60,7 @@ def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Deri
                 j += 1
 
 
-def _steps(g: ContextualGrammar, mode: str, word: str) -> Iterator[tuple[str, DerivationStep]]:
+def _steps(g: ContextualGrammar, mode: str, word: str) -> Iterator[tuple[str, Step]]:
     if mode == "ex":
         return _external_steps(g, word)
     if mode == "in":
@@ -130,57 +127,15 @@ def generate_bounded(
     return g.alphabet.sort_words(seen)
 
 
-def _check_expansion(g: ContextualGrammar, mode: str, w: str, y: str, step: DerivationStep) -> None:
-    ctx = step.context
+def _check_expansion(g: ContextualGrammar, mode: str, w: str, y: str, step: Step) -> None:
+    p_idx, ctx, split = step
     if len(y) < len(w) or (len(ctx.left) + len(ctx.right) >= 1 and len(y) <= len(w)):
         raise AssertionError(f"derivation step shortened {w!r} to {y!r}")
     if mode == "in":
         # re-applicability: after insertion the selected subword is intact,
         # so the same pair must still offer a step on the result
-        i, j = step.split  # type: ignore[misc]
+        i, j = split  # type: ignore[misc]
         inner = y[i + len(ctx.left) : j + len(ctx.left)]
-        if not g.pairs[step.pair_index].selector.contains(inner):
+        if not g.pairs[p_idx].selector.contains(inner):
             raise AssertionError(f"inserted context destroyed the selected subword of {w!r}")
 
-
-def derivation_trace(
-    g: ContextualGrammar, mode: str, target: str, max_len: int | None = None
-) -> DerivationTrace:
-    """A shortest-step derivation of target from some axiom.
-
-    Ties break canonically: first-found in (pair, split, context) order
-    over a breadth-first search by step count.
-    """
-    bound = len(target) if max_len is None else max_len
-    if len(target) > bound:
-        raise InputError(f"target longer than max_len={bound}")
-    if not g.alphabet.covers(target):
-        raise NotDerivable(target, bound)
-    # intermediates never exceed the target length
-    limit = len(target)
-    parents: dict[str, tuple[str, DerivationStep] | None] = {}
-    frontier: list[str] = []
-    for w in g.axioms:
-        if len(w) <= limit and w not in parents:
-            parents[w] = None
-            frontier.append(w)
-    while frontier:
-        if target in parents:
-            break
-        nxt: list[str] = []
-        for w in frontier:
-            for y, step in _steps(g, mode, w):
-                if len(y) <= limit and y not in parents:
-                    parents[y] = (w, step)
-                    nxt.append(y)
-        frontier = nxt
-    if target not in parents:
-        raise NotDerivable(target, bound)
-    steps: list[DerivationStep] = []
-    cur = target
-    while parents[cur] is not None:
-        cur, step = parents[cur]  # type: ignore[misc]
-        steps.append(step)
-    trace = DerivationTrace(mode, cur, tuple(reversed(steps)), target)
-    trace.replay(g)
-    return trace

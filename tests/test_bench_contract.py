@@ -5,9 +5,14 @@ copy of the family table and rebinds the layer functions it lists in
 every `sublang` namespace that holds them.  A renamed or removed internal
 would not fail the benchmark; it would read zero in its report.  These
 tests load the tracer from its file and check that it still finds and
-times what it names, and that it leaves the program as it found it.
+times what it names, and that it leaves the program as it found it, and
+that every name the benchmark scripts import from the program still
+resolves.
 """
 
+import ast
+import glob
+import importlib
 import importlib.util
 import os
 
@@ -16,7 +21,8 @@ import pytest
 from sublang import families, witnesses
 from sublang.cli import main
 
-TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 SPANS = (
     "automata.minimize",
     "automata.determinize",
@@ -72,3 +78,19 @@ def test_tracer_finds_its_targets_records_spans_and_restores_the_program(tracing
     for owner, attr, original in patched:
         held = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert held is original, attr
+
+
+def test_every_perfbench_import_from_the_program_resolves():
+    imports = []
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sublang":
+                imports.extend((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imports.extend((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "sublang")
+    assert ("sublang.grammars", "internal_successors") in imports
+    for module, name in imports:
+        owner = importlib.import_module(module)
+        assert name is None or hasattr(owner, name), f"{module}.{name}"

@@ -1,6 +1,7 @@
 import pytest
 
 from sublang.automata import Alphabet, are_equivalent
+from sublang.cli import main
 from sublang.formats import (
     FormatError,
     parse_dfa_text,
@@ -55,6 +56,25 @@ def test_dfa_line_numbers_in_errors():
     with pytest.raises(FormatError) as exc:
         parse_dfa_text("alphabet a\nstates 1\nstart 0\ntrans 0 z 0\n", "f")
     assert str(exc.value).startswith("f:4:")
+
+
+def test_dfa_states_line_must_be_a_number(tmp_path, capsys):
+    text = "alphabet a\nstates x\nstart 0\ntrans 0 a 0\n"
+    with pytest.raises(FormatError) as exc:
+        parse_dfa_text(text, "f")
+    assert str(exc.value) == "f:2: expected a number of states, got 'x'"
+    path = tmp_path / "bad.dfa"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", "--input", f"dfa:{path}"]) == 2
+    assert f"{path}:2: expected a number of states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("early", ["trans 5 a 0", "trans 0 a 5", "start 5", "accept 0 5"])
+def test_dfa_state_ids_before_the_states_line_are_range_checked(early):
+    assert parse_dfa_text("alphabet a\nstart 0\naccept 0\ntrans 0 a 0\nstates 1\n", "f").n_states == 1
+    with pytest.raises(FormatError) as exc:
+        parse_dfa_text(f"alphabet a\n{early}\nstates 1\n", "f")
+    assert str(exc.value) == "f:2: state 5 out of range 0..0"
 
 
 def test_slt_roundtrip():

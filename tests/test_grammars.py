@@ -11,11 +11,9 @@ from sublang.grammars import (
     Context,
     ContextualGrammar,
     LanguageHandle,
-    NotDerivable,
     SelectionPair,
     StepCapExceeded,
     compare_bounded,
-    derivation_trace,
     external_successors,
     generate_bounded,
     grammar_is_valid,
@@ -70,8 +68,10 @@ def test_generate_bounded_contains_small_axioms():
 
 
 def test_generate_bounded_mode_validation():
-    with pytest.raises(InputError):
-        generate_bounded(dyck_grammar(), "sideways", 4)
+    # the successor kernel trusts its mode: this is the only mode check
+    with pytest.raises(InputError) as exc:
+        generate_bounded(dyck_grammar(), "xx", 4)
+    assert str(exc.value) == "derivation mode must be one of ('ex', 'in'), got 'xx'"
     with pytest.raises(InputError):
         generate_bounded(dyck_grammar(), "in", -1)
 
@@ -170,42 +170,6 @@ def test_invariant_check_rejects_a_step_that_does_not_lengthen(monkeypatch):
     assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
     with pytest.raises(AssertionError, match="shortened '' to ''"):
         generate_bounded(dyck_grammar(), "in", 4, check_invariants=True)
-
-
-def test_derivation_trace_examples():
-    t = derivation_trace(ic32_grammar(), "in", "acbd")
-    assert t.axiom == "ab"
-    assert len(t.steps) == 1
-    assert t.steps[0].split == (1, 2)
-    assert t.replay(ic32_grammar()) == "acbd"
-
-    t = derivation_trace(dyck_grammar(), "in", "ccdd")
-    assert t.axiom == ""
-    assert len(t.steps) == 2
-
-    with pytest.raises(NotDerivable):
-        derivation_trace(ic32_grammar(), "in", "abc")
-
-
-def test_derivation_trace_external_mode():
-    g = ec35_grammar()
-    t = derivation_trace(g, "ex", "cbc")
-    assert t.axiom == "b"
-    assert len(t.steps) == 1
-    assert t.steps[0].pair_index == 1 and t.steps[0].split is None
-    t2 = derivation_trace(g, "ex", "aab")
-    assert t2.axiom == "b" and len(t2.steps) == 2
-
-
-def test_derivation_trace_lengths_non_decreasing():
-    t = derivation_trace(dyck_grammar(), "in", "cdccdd")
-    lengths = [len(t.axiom)]
-    w = t.axiom
-    for step in t.steps:
-        w = step.apply(w)
-        lengths.append(len(w))
-    assert lengths == sorted(lengths)
-    assert w == "cdccdd"
 
 
 def test_compare_bounded_a_star_vs_a_plus():

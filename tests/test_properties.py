@@ -34,6 +34,7 @@ from sublang.automata import (
     longest_accepted_length,
     minimize,
     union,
+    universe_dfa,
 )
 from sublang.families import (
     FAMILY_BASE_ORDER,
@@ -54,7 +55,6 @@ from sublang.grammars import (
     LanguageHandle,
     SelectionPair,
     StepCapExceeded,
-    derivation_trace,
     external_successors,
     generate_bounded,
     internal_successors,
@@ -353,6 +353,18 @@ def test_hopcroft_minimize_agrees_with_moore(d):
     assert minimize(d) == slt_reference.minimize(d)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(*(dfas(8, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc"))))
+def test_the_minimal_flag_tells_the_truth(d):
+    """minimize returns a DFA marked minimal unchanged, so every DFA the
+    program marks minimal must already be the minimal, canonically numbered
+    DFA that the reference minimization builds."""
+    m = minimize(d)
+    for x in (m, complement(m), universe_dfa(d.alphabet)):
+        assert x.minimal
+        assert slt_reference.minimize(x) == x
+
+
 def raw_window_automaton(rep):
     """The automaton `slt_to_dfa` builds before minimizing it."""
     raw = []
@@ -485,17 +497,11 @@ def grammars(draw):
 def test_generation_agrees_with_heap_reference(g):
     """The length-layered closure gives the heap closure's output at every
     length up to 8, and its step-cap partials and successor sets at length
-    8, in both modes; derivation traces agree for every word up to length 6
-    (a trace searches all shorter words, so length 8 would dominate the run)."""
+    8, in both modes."""
     for mode in ("ex", "in"):
         for max_len in range(9):
             words = generate_bounded(g, mode, max_len)
             assert words == generation_reference.generate_bounded(g, mode, max_len)
-            if max_len == 6:
-                for w in words:
-                    trace = derivation_trace(g, mode, w)
-                    want = generation_reference.derivation_trace(g, mode, w)
-                    assert (trace.axiom, trace.steps) == (want.axiom, want.steps)
         assert generate_bounded(g, mode, max_len, check_invariants=True) == words
         for cap in range(6):
             try:
