@@ -7,6 +7,7 @@ never by codepoint.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -87,18 +88,9 @@ class Alphabet:
 
     def words_of_length(self, k: int) -> Iterator[str]:
         """All length-k words in lexicographic (declaration) order."""
-        if k == 0:
-            yield ""
-            return
         if len(self.symbols) ** k > MAX_WORD_SPACE:
             raise InputError(f"word space |V|^{k} too large to enumerate")
-        stack = [""]
-        while stack:
-            w = stack.pop()
-            if len(w) == k:
-                yield w
-            else:
-                stack.extend(w + s for s in reversed(self.symbols))
+        yield from map("".join, itertools.product(self.symbols, repeat=k))
 
     def words_upto(self, n: int) -> Iterator[str]:
         for k in range(n + 1):

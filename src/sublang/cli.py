@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 = success / all checks passed, 1 = a requested check
-failed (difference found, lemma failed), 2 = input error.
+failed (difference found, lemma failed) or stdout was closed early,
+2 = input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .automata import Alphabet, InputError, enumerate_upto, word_to_token
@@ -147,8 +149,11 @@ def _cmd_convert(args) -> int:
     rep = definite_to_slt(ds, de, alphabet)
     text = render_slt(rep)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         print(text, end="")
     return 0
@@ -246,5 +251,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The `sublang` command: `main`, ending quietly with exit 1 when the
+    reader closes stdout early (`sublang enumerate ... | head -1`)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs' note on SIGPIPE advises: point stdout at
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -585,99 +585,84 @@ class TransitionMonoid:
     `words[i]`, so composing with a letter is one `str.translate`.
     Contains the identity (empty word); generator words are shortest-lex.
 
-    The monoid is built lazily by one breadth-first search.  Iterating it
-    yields (transformation, word) pairs in that order and extends the
-    search only as far as the reader goes (at most twice as far), so a
-    reader that stops at a witness never builds the rest.  BFS finds the
-    elements in shortlex order of their least words, so the first element
-    with a property is the same however far the search has run.  `len` and `from_dfa` need
-    the whole monoid.  The cap is tested when an element is appended:
-    appending element number `cap + 1` raises `InputError`, so only a
-    reader that goes that far sees it.
+    The monoid is built lazily by one breadth-first search, a generator
+    that pauses after each element it appends.  Iterating the monoid
+    yields (transformation, word) pairs in that order and resumes the
+    search only when the reader needs the next element, so a reader that
+    stops at a witness never builds the rest.  BFS finds the elements in
+    shortlex order of their least words, so the first element with a
+    property is the same however far the search has run.  `len` and
+    `from_dfa` need the whole monoid.  The cap is `_MONOID_CAP`, read when
+    the monoid is read: a reader that needs element `_MONOID_CAP + 1`
+    raises `InputError`, and so does every later reader that goes as far.
     """
 
-    def __init__(self, d: Dfa, cap: int = _MONOID_CAP) -> None:
-        n = d.n_states
-        self.dfa = d
-        self._letters = [
-            (a, "".join(chr(d.transitions[q][i]) for q in range(n)))
-            for i, a in enumerate(d.alphabet.symbols)
-        ]
-        ident = "".join(map(chr, range(n)))
-        self.elements = [ident]
-        self.words = [""]
-        self._seen = {ident}
-        self._cap = cap
-        # next (element, letter) product of the search
-        self._cursor = (0, 0)
-        # per element read by `counters`: None if its power cycle has
-        # period 1, else (tail, period, mixed)
-        self._cycles: list[tuple[int, int, bool] | None] = []
+    def __init__(self, d: Dfa) -> None:
+        self.elements: list[str] = []
+        self.words: list[str] = []
+        # per element: None if its power cycle has period 1, else (tail, period, mixed)
+        self.cycles: list[tuple[int, int, bool] | None] = []
+        # the search holds these lists, not self, so the monoid forms no reference cycle
+        self._search = _monoid_search(d, self.elements, self.words, self.cycles)
 
     @classmethod
-    def from_dfa(cls, d: Dfa, cap: int = _MONOID_CAP) -> "TransitionMonoid":
-        m = cls(d, cap)
-        m._grow()
+    def from_dfa(cls, d: Dfa) -> "TransitionMonoid":
+        m = cls(d)
+        len(m)
         return m
-
-    def _grow(self, size: int | None = None) -> None:
-        """Run the search until it has `size` elements or is closed (all
-        of it if None)."""
-        elements, words, seen, letters = self.elements, self.words, self._seen, self._letters
-        e, k = self._cursor
-        while e < len(elements):
-            base = elements[e]
-            while k < len(letters):
-                a, row = letters[k]
-                k += 1
-                t = base.translate(row)
-                if t not in seen:
-                    if len(elements) >= self._cap:
-                        raise InputError("transition monoid too large for desk-scale analysis")
-                    seen.add(t)
-                    elements.append(t)
-                    words.append(words[e] + a)
-                    if len(elements) == size:
-                        self._cursor = (e, k)
-                        return
-            e, k = e + 1, 0
-        self._cursor = (e, k)
 
     def __iter__(self):
         i = 0
-        while True:
+        while i < len(self.elements) or next(self._search, False):
             if i == len(self.elements):
-                # run ahead up to twice as far, but not past the cap, so
-                # only a reader of element cap + 1 meets the cap error
-                self._grow(max(i + 1, min(2 * i, self._cap)))
-                if i == len(self.elements):
-                    return
+                # the search pauses without appending only at the cap
+                raise InputError("transition monoid too large for desk-scale analysis")
             yield self.elements[i], self.words[i]
             i += 1
 
     def __len__(self) -> int:
-        self._grow()
-        return len(self.elements)
+        return sum(1 for _ in self)
 
     def counters(self):
         """(word, tail, period, mixed) of each element whose power cycle
         has period > 1, in search order; `mixed` tells whether acceptance
         from the start state changes along the cycle.  It reads the monoid
-        lazily like `__iter__`, and walks each element's power cycle once
-        however many readers go past it."""
-        cycles = self._cycles
-        start, accepting = self.dfa.start, self.dfa.accepting
-        for i, (t, word) in enumerate(self):
-            if i == len(cycles):
-                powers, tail, period = _power_cycle(t)
-                if period == 1:
-                    cycles.append(None)
-                else:
-                    verdicts = {ord(powers[e - 1][start]) in accepting for e in range(tail, tail + period)}
-                    cycles.append((tail, period, len(verdicts) > 1))
-            cycle = cycles[i]
+        lazily like `__iter__`; the search walks each power cycle once."""
+        for i, (_, word) in enumerate(self):
+            cycle = self.cycles[i]
             if cycle is not None:
                 yield (word, *cycle)
+
+
+def _monoid_search(d: Dfa, elements: list[str], words: list[str], cycles: list):
+    """The breadth-first search of TransitionMonoid: append each element,
+    its word and its power-cycle summary, then pause (yield True); before
+    element `_MONOID_CAP + 1` pause without appending."""
+    letters = [
+        (a, "".join(chr(row[i]) for row in d.transitions))
+        for i, a in enumerate(d.alphabet.symbols)
+    ]
+    ident = "".join(map(chr, range(d.n_states)))
+    seen = set()
+    # first the identity (the empty word times itself), then element e times each letter
+    base, prefix, rows = ident, "", [("", ident)]
+    for e in itertools.count():
+        for a, row in rows:
+            t = base.translate(row)
+            if t in seen:
+                continue
+            seen.add(t)
+            while len(elements) >= _MONOID_CAP:
+                yield True
+            powers, tail, period = _power_cycle(t)
+            mixed = period > 1 and len({ord(p[d.start]) in d.accepting for p in powers[tail - 1 :]}) > 1
+            elements.append(t)
+            words.append(prefix + a)
+            cycles.append((tail, period, mixed) if period > 1 else None)
+            yield True
+        if e == len(elements):
+            return
+        base, prefix, rows = elements[e], words[e], letters
 
 
 def _power_cycle(t: str) -> tuple[list[str], int, int]:

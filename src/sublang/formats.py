@@ -7,7 +7,7 @@ Every renderer produces text that re-parses to an equivalent object.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automata import EMPTY_TOKEN, Alphabet, Dfa, InputError, word_to_token
 from .grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair
@@ -33,6 +33,13 @@ def _logical_lines(text: str, source: str):
             yield lineno, line.split(), f"{source}:{lineno}"
 
 
+def _once(kind: str, seen: set[str], where: str) -> None:
+    """Note a line that sets one value; a second such line is an error."""
+    if kind in seen:
+        raise FormatError(f"{where}: duplicate {kind} line")
+    seen.add(kind)
+
+
 def _alphabet_from_tokens(tokens: list[str], where: str) -> Alphabet:
     symbols = [c for tok in tokens for c in tok]
     if not symbols:
@@ -54,6 +61,7 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
     accepting: set[int] = set()
     trans: dict[tuple[int, str], int] = {}  # (state, sym) -> target
     ids: list[tuple[int, str]] = []  # every state id read, with its line; range-checked at the end
+    seen: set[str] = set()
 
     def number(tok: str, where: str, what: str) -> int:
         try:
@@ -68,6 +76,8 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
 
     for _, tokens, where in _logical_lines(text, source):
         kind, rest = tokens[0], tokens[1:]
+        if kind in ("alphabet", "states", "start"):
+            _once(kind, seen, where)
         if kind == "alphabet":
             alphabet = _alphabet_from_tokens(rest, where)
         elif kind == "states":
@@ -147,6 +157,7 @@ def parse_slt_text(text: str, source: str = "<slt>") -> SltRep:
 
     for _, tokens, where in _logical_lines(text, source):
         kind, rest = tokens[0], tokens[1:]
+        _once(kind, seen, where)  # every line of the format sets one value
         if kind == "slt":
             if len(rest) != 1 or not rest[0].startswith("k="):
                 raise FormatError(f"{where}: expected `slt k=<number>`")
@@ -157,9 +168,6 @@ def parse_slt_text(text: str, source: str = "<slt>") -> SltRep:
         elif kind == "alphabet":
             alphabet = _alphabet_from_tokens(rest, where)
         elif kind in sets:
-            if kind in seen:
-                raise FormatError(f"{where}: duplicate {kind} line")
-            seen.add(kind)
             if alphabet is None:
                 raise FormatError(f"{where}: window line before alphabet line")
             sets[kind] = [word_from_token(t, alphabet, where) for t in rest]
@@ -199,6 +207,7 @@ class _PairDraft:
     select_alphabet: Alphabet | None = None
     family: str | None = None
     contexts: list[Context] | None = None
+    seen: set[str] = field(default_factory=set)  # its select, select-alphabet and family lines
 
 
 def parse_grammar_text(
@@ -208,6 +217,7 @@ def parse_grammar_text(
     axioms: list[str] = []
     pairs: list[SelectionPair] = []
     draft: _PairDraft | None = None
+    seen: set[str] = set()
 
     def finish_pair(d: _PairDraft) -> SelectionPair:
         assert alphabet is not None
@@ -240,6 +250,7 @@ def parse_grammar_text(
     for _, tokens, where in _logical_lines(text, source):
         kind, rest = tokens[0], tokens[1:]
         if kind == "alphabet":
+            _once(kind, seen, where)
             alphabet = _alphabet_from_tokens(rest, where)
         elif kind == "axiom":
             if alphabet is None:
@@ -261,16 +272,19 @@ def parse_grammar_text(
         elif kind == "select":
             if draft is None:
                 raise FormatError(f"{where}: select outside a pair block")
+            _once(kind, draft.seen, where)
             if not rest:
                 raise FormatError(f"{where}: select needs a kind (regex|dfa|slt)")
             draft.select = (rest[0], " ".join(rest[1:]))
         elif kind == "select-alphabet":
             if draft is None:
                 raise FormatError(f"{where}: select-alphabet outside a pair block")
+            _once(kind, draft.seen, where)
             draft.select_alphabet = _alphabet_from_tokens(rest, where)
         elif kind == "family":
             if draft is None or len(rest) != 1:
                 raise FormatError(f"{where}: family takes one tag inside a pair block")
+            _once(kind, draft.seen, where)
             draft.family = rest[0]
         elif kind == "context":
             if draft is None:

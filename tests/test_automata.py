@@ -38,6 +38,15 @@ def test_alphabet_order_drives_word_sorting():
     assert ba.sort_words(["a", "b", "ab", "ba"]) == ["b", "a", "ba", "ab"]
 
 
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc", "ba"])
+def test_words_of_length_lists_every_word_in_declaration_order(symbols):
+    alphabet = Alphabet.of(symbols)
+    for k in range(5):
+        words = list(alphabet.words_of_length(k))
+        assert words == alphabet.sort_words(words)
+        assert len(set(words)) == len(symbols) ** k
+
+
 def test_accepts_examples():
     d = compile_regex("a|ab*a", AB)
     assert d.accepts("abba")

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sublang
 from sublang.cli import main
@@ -296,6 +299,35 @@ def test_convert_out_file(capsys, tmp_path):
     assert rep.k == 3
 
 
+def test_convert_out_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "rep.slt"
+    code, out, err = run(
+        capsys, "convert", "--definite", "a,ab", "b", "--alphabet", "ab",
+        "--out", str(out_path),
+    )
+    assert (code, out, err) == (2, "", f"error: cannot write {out_path}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("max_len", ["0", "5", "9"])
+def test_verify_all_runs_at_small_bounds(capsys, max_len):
+    code, out, _ = run(capsys, "verify", "--lemma", "all", "--max-len", max_len)
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
+def test_a_closed_stdout_ends_the_command_without_a_traceback():
+    # `sublang enumerate ... | head -1`: the reader goes away after one line
+    src = os.path.dirname(os.path.dirname(sublang.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "sublang.cli", "enumerate", "--input", "regex:(a|b)*", "--max-len", "14"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        assert proc.stdout.readline() == "_\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (1, "")
+
+
 def test_verify_porcelain(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "dyck", "--porcelain")
     assert code == 0
@@ -366,3 +398,79 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
         assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [0, 2, 0, 0]
+
+
+# the CLI fuzz test's files: the valid lines of each format, and the
+# tokens that replace some of them
+FUZZ_LINES = {
+    "dfa": (
+        ["alphabet a b", "states 2", "start 0", "accept 1", "trans 0 a 1", "trans 0 b 0", "trans 1 a 1", "trans 1 b 0"],
+        ["alphabet", "states", "start", "accept", "trans", "a", "b", "ab", "0", "1", "2", "-1", "x"],
+    ),
+    "slt": (
+        ["slt k=2", "alphabet a b", "B ab aa", "I ab ba", "E ba", "F _ a"],
+        ["slt", "k=1", "k=2", "k=x", "alphabet", "B", "I", "E", "F", "a", "b", "ab", "aab", "_"],
+    ),
+    "cg": (
+        ["alphabet a b", "axiom ab", "pair", "select regex a b*", "select-alphabet a b", "family SLT2",
+         "context a , b", "end", "pair", "select regex b*", "context b , _", "end"],
+        ["alphabet", "axiom", "pair", "end", "select", "select-alphabet", "family", "context", "regex",
+         "a*", "a", "b", ",", "_", "MON", "NC", "dfa", "slt", "in.dfa", "in.slt"],
+    ),
+}
+
+
+@st.composite
+def fuzz_file(draw, kind):
+    """The format's valid lines; or those and maybe one repeated, each kept,
+    dropped or given random tokens after its directive."""
+    valid, tokens = FUZZ_LINES[kind]
+    if draw(st.booleans()):
+        return "\n".join(valid)
+    lines = []
+    for line in valid + draw(st.lists(st.sampled_from(valid), max_size=1)):
+        fate = draw(st.sampled_from("kkkkdr"))
+        if fate == "k":
+            lines.append(line)
+        elif fate == "r":
+            lines.append(" ".join([line.split()[0], *draw(st.lists(st.sampled_from(tokens), max_size=3))]))
+    return "\n".join(lines)
+
+
+@st.composite
+def fuzz_calls(draw):
+    files = {kind: draw(fuzz_file(kind)) for kind in FUZZ_LINES}
+    regex = draw(st.text("ab()|*_ ", max_size=8))
+    alphabet = draw(st.sampled_from(["ab", "a b", "a,b", "abc", "b", "aa", ""]))
+    max_len, k_max = str(draw(st.integers(-1, 8))), str(draw(st.integers(-1, 4)))
+    # `@` stands for the folder of the files
+    source = draw(st.sampled_from(["dfa:@/in.dfa", "slt:@/in.slt", f"regex:{regex}"]))
+    argv = draw(
+        st.sampled_from(
+            [
+                ["classify", "--input", source, "--alphabet", alphabet, "--k-max", k_max],
+                ["classify", "--porcelain", "--input", source, "--alphabet", alphabet],
+                ["enumerate", "--input", source, "--alphabet", alphabet, "--max-len", max_len],
+                ["compare", "--left", source, "--right", "grammar-in:@/in.cg", "--max-len", max_len],
+                ["generate", "--grammar", "@/in.cg", "--mode", draw(st.sampled_from(["ex", "in"])), "--max-len", max_len],
+            ]
+        )
+    )
+    return files, argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzz_calls())
+def test_cli_fuzz_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, call):
+    files, argv = call
+    folder = tmp_path_factory.mktemp("fuzz")
+    for kind, text in files.items():
+        (folder / f"in.{kind}").write_text(text, encoding="utf-8")
+    argv = [arg.replace("@", str(folder)) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv

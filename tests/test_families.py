@@ -293,22 +293,31 @@ def test_is_power_separating():
     assert v.value == "no" and v.evidence.endswith("(cycle start 1, period 300)")
 
 
-def test_monoid_is_built_only_as_far_as_the_answer_needs():
+def test_monoid_is_built_only_as_far_as_the_answer_needs(monkeypatch):
     # a counter at the first letter settles NC and PS below a cap of 2
+    monkeypatch.setattr(families, "_MONOID_CAP", 2)
     cycle = one_letter_cycle(30)
-    m = TransitionMonoid(cycle, cap=2)
+    m = TransitionMonoid(cycle)
     assert is_noncounting(cycle, m).evidence == "word a has eventual period 30"
     assert is_power_separating(cycle, m).value == "no"
     assert m.words == ["", "a"]
     with pytest.raises(InputError, match="transition monoid too large"):
         len(m)
     with pytest.raises(InputError, match="transition monoid too large"):
-        TransitionMonoid.from_dfa(cycle, cap=2)
+        TransitionMonoid.from_dfa(cycle)
     # an aperiodic "yes" needs the whole monoid, so only it meets the cap
     chain = one_letter_chain(40)
+    monkeypatch.setattr(families, "_MONOID_CAP", 39)
+    m = TransitionMonoid(chain)
     with pytest.raises(InputError, match="transition monoid too large"):
-        is_noncounting(chain, TransitionMonoid(chain, cap=39))
-    m = TransitionMonoid(chain, cap=40)
+        is_noncounting(chain, m)
+    # a stopped search never reads as a closed monoid
+    with pytest.raises(InputError, match="transition monoid too large"):
+        len(m)
+    with pytest.raises(InputError, match="transition monoid too large"):
+        is_noncounting(chain, m)
+    monkeypatch.setattr(families, "_MONOID_CAP", 40)
+    m = TransitionMonoid(chain)
     assert is_noncounting(chain, m).payload == 40
     assert m.elements == TransitionMonoid.from_dfa(chain).elements
 

@@ -77,6 +77,15 @@ def test_dfa_state_ids_before_the_states_line_are_range_checked(early):
     assert str(exc.value) == "f:2: state 5 out of range 0..0"
 
 
+@pytest.mark.parametrize("line", ["alphabet a", "states 1", "start 0"])
+def test_dfa_line_that_sets_one_value_appears_once(line):
+    text = "alphabet a\nstates 1\nstart 0\naccept 0\ntrans 0 a 0\n"
+    assert parse_dfa_text(text + "accept 0\n", "f").accepting == {0}  # accept adds to a set
+    with pytest.raises(FormatError) as exc:
+        parse_dfa_text(f"{text}{line}\n", "f")
+    assert str(exc.value) == f"f:6: duplicate {line.split()[0]} line"
+
+
 def test_slt_roundtrip():
     rep = make_rep(2, AB, ["ab", "aa"], ["bb"], ["ba"], ["", "a"])
     again = parse_slt_text(render_slt(rep), "rt")
@@ -86,6 +95,13 @@ def test_slt_roundtrip():
 def test_slt_parse_empty_word_token():
     rep = parse_slt_text("slt k=2\nalphabet a b\nB ab\nE ab\nF _\n", "inline")
     assert "" in rep.short_words
+
+
+@pytest.mark.parametrize("line", ["slt k=2", "slt k=3", "alphabet a b"])
+def test_slt_line_appears_once(line):
+    with pytest.raises(FormatError) as exc:
+        parse_slt_text(f"slt k=2\nalphabet a b\nB aa\n{line}\n", "f")
+    assert str(exc.value) == f"f:4: duplicate {line.split()[0]} line"
 
 
 def test_slt_length_k_word_in_f_is_invariant_error():
@@ -122,6 +138,26 @@ def test_parse_grammar_empty_context_sides():
     assert g.pairs[0].contexts[0].left == ""
     assert g.pairs[0].contexts[0].right == "a"
     assert g.axioms == ("",)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (GRAMMAR_TEXT + "alphabet a b c d\n", "f:11: duplicate alphabet line"),
+        (GRAMMAR_TEXT.replace("end", "  select regex b\nend"), "f:10: duplicate select line"),
+        (GRAMMAR_TEXT.replace("end", "  select-alphabet b c\nend"), "f:10: duplicate select-alphabet line"),
+        (GRAMMAR_TEXT.replace("end", "  family MON\nend"), "f:10: duplicate family line"),
+    ],
+    ids=["alphabet", "select", "select-alphabet", "family"],
+)
+def test_grammar_line_that_sets_one_value_appears_once(text, line):
+    # axiom, pair and context lines add to a list
+    again = "axiom cd\npair\n  select regex b\n  family MON\n  context c , d\n  context d , c\nend\n"
+    g = parse_grammar_text(GRAMMAR_TEXT + again, "f")
+    assert (g.axioms, len(g.pairs), len(g.pairs[1].contexts)) == (("ab", "cd"), 2, 2)
+    with pytest.raises(FormatError) as exc:
+        parse_grammar_text(text, "f")
+    assert str(exc.value) == line
 
 
 def test_parse_grammar_errors():

@@ -15,7 +15,7 @@ import graph_reference
 import slt_reference
 from conftest import all_words, brute_accepted, random_regex_ast
 
-from sublang import automata, slt
+from sublang import automata, families, slt
 from sublang.automata import (
     Alphabet,
     Dfa,
@@ -192,14 +192,15 @@ def test_transition_monoid_agrees_with_reference(d, cap):
             ref_powers, ref_tail, ref_period = classify_reference.power_cycle(ref)
             assert [tuple(map(ord, p)) for p in powers] == ref_powers
             assert (tail, period) == (ref_tail, ref_period)
-        if len(elements) > cap:
-            with pytest.raises(InputError) as want:
-                classify_reference.monoid_from_dfa(dfa, cap)
-            with pytest.raises(InputError) as got:
-                TransitionMonoid.from_dfa(dfa, cap)
-            assert str(got.value) == str(want.value)
-        else:
-            assert len(TransitionMonoid.from_dfa(dfa, cap)) == len(elements)
+        with mock.patch.object(families, "_MONOID_CAP", cap):
+            if len(elements) > cap:
+                with pytest.raises(InputError) as want:
+                    classify_reference.monoid_from_dfa(dfa, cap)
+                with pytest.raises(InputError) as got:
+                    TransitionMonoid.from_dfa(dfa)
+                assert str(got.value) == str(want.value)
+            else:
+                assert len(TransitionMonoid.from_dfa(dfa)) == len(elements)
 
 
 EAGER_ROUTES = {
@@ -225,18 +226,19 @@ def test_witness_first_routes_agree_with_the_eager_routes(d, cap):
     or gives the "no" of the eager route without that cap."""
     capped = {tag: eager_verdict(tag, d, cap) for tag in EAGER_ROUTES}
     uncapped = {tag: eager_verdict(tag, d) if isinstance(v, InputError) else v for tag, v in capped.items()}
-    for dfa in (d, minimize(d)):
-        monoid = TransitionMonoid(minimize(dfa), cap)
-        for tag in ("ORD", "NC", "PS"):
-            want = capped[tag]
-            try:
-                got = decide_family(tag, dfa, monoid)
-            except InputError as exc:
-                assert isinstance(want, InputError) and str(exc) == str(want)
-                continue
-            if isinstance(want, InputError):
-                assert got.value == "no"
-            assert got == uncapped[tag]
+    with mock.patch.object(families, "_MONOID_CAP", cap):
+        for dfa in (d, minimize(d)):
+            monoid = TransitionMonoid(minimize(dfa))
+            for tag in ("ORD", "NC", "PS"):
+                want = capped[tag]
+                try:
+                    got = decide_family(tag, dfa, monoid)
+                except InputError as exc:
+                    assert isinstance(want, InputError) and str(exc) == str(want)
+                    continue
+                if isinstance(want, InputError):
+                    assert got.value == "no"
+                assert got == uncapped[tag]
 
 
 @SETTINGS
