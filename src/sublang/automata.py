@@ -27,6 +27,16 @@ def check_window_space(alphabet: Alphabet, k: int) -> None:
         raise InputError(f"window space |V|^{k} too large")
 
 
+def clamp_window_width(alphabet: Alphabet, k: int) -> int:
+    """The least of k and the widest window length check_window_space allows."""
+    if len(alphabet) < 2:
+        return k  # one window of each length
+    width = 0
+    while width < k and len(alphabet) ** (width + 1) <= MAX_WORD_SPACE:
+        width += 1
+    return width
+
+
 EMPTY_TOKEN = "_"
 
 
@@ -445,24 +455,20 @@ def find_cycle(symbols, roots, succ) -> tuple[object, str] | None:
     return None
 
 
-def _trim_cycle(d: Dfa, trim: set[int]) -> tuple[int, str] | None:
-    """A cycle of d through trim states only, searched from them in order."""
-    trans = d.transitions
-
-    def succ(q: int, i: int) -> int | None:
-        t = trans[q][i]
-        return t if t in trim else None
-
-    return find_cycle(d.alphabet.symbols, sorted(trim), succ)
-
-
 def find_pump(d: Dfa) -> tuple[str, str, str] | None:
     """A decomposition (u, v, w) with u v^i w accepted for all i, if one exists.
 
     Exists iff the language is infinite, since only trim states can carry
-    a productive cycle.
+    a productive cycle.  The cycle is searched through trim states only,
+    from each of them in order.
     """
-    cycle = _trim_cycle(d, reachable_states(d) & coaccessible_states(d))
+    trim = reachable_states(d) & coaccessible_states(d)
+
+    def trim_step(q: int, i: int) -> int | None:
+        t = d.transitions[q][i]
+        return t if t in trim else None
+
+    cycle = find_cycle(d.alphabet.symbols, sorted(trim), trim_step)
     if cycle is None:
         return None
     q_cycle, v = cycle
@@ -474,24 +480,6 @@ def find_pump(d: Dfa) -> tuple[str, str, str] | None:
     w = least_word(d.alphabet.symbols, [q_cycle], step, lambda q: q in d.accepting)
     assert u is not None and w is not None
     return (u, v, w)
-
-
-def longest_accepted_length(d: Dfa) -> int | None:
-    """Length of the longest accepted word; None if infinite, -1 if empty."""
-    trim = reachable_states(d) & coaccessible_states(d)
-    if d.start not in trim:
-        return -1
-    if _trim_cycle(d, trim) is not None:
-        return None
-    # The trim part is acyclic, so the trim states that words of one length
-    # lead to die out within n lengths; the last length meeting F is the answer.
-    longest, length, level = -1, 0, {d.start}
-    while level:
-        if not level.isdisjoint(d.accepting):
-            longest = length
-        level = {t for q in level for t in d.transitions[q] if t in trim}
-        length += 1
-    return longest
 
 
 class LanguageWindows:

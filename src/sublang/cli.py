@@ -22,12 +22,11 @@ from .formats import (
 )
 from .grammars import (
     ContextualGrammar,
-    LanguageHandle,
     StepCapExceeded,
     compare_bounded,
     generate_bounded,
 )
-from .regexes import parse_regex
+from .regexes import compile_regex, parse_regex
 from .slt import slt_to_dfa
 from .witnesses import (
     build_witness,
@@ -53,8 +52,7 @@ def _language_input(spec: str, alphabet: Alphabet | None):
         return parse_dfa_file(value), None
     if kind == "regex":
         ast = parse_regex(value)
-        handle = LanguageHandle.from_regex(ast, alphabet)
-        return handle.dfa, ast
+        return compile_regex(ast, alphabet), ast
     if kind == "slt":
         return slt_to_dfa(parse_slt_file(value)), None
     if kind == "witness":

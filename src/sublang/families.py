@@ -20,6 +20,7 @@ from .automata import (
     Nfa,
     are_equivalent,
     check_window_space,
+    clamp_window_width,
     complement,
     find_cycle,
     find_pump,
@@ -532,7 +533,8 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     length first: it counts as searched in full and costs no budget.
     "No" is exact only via aperiodicity (ordered automata have aperiodic
     transition monoids); otherwise a failed search is reported as a
-    bounded unknown.
+    bounded unknown, whose evidence calls the minimal automaton
+    unorderable only when length n was searched in full.
     """
     dm = minimize(d)
     nc = is_noncounting(dm, monoid)
@@ -545,9 +547,12 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     budget = max(n, 2 * len(dm.alphabet) + 3)
     nodes = [_COVER_NODE_BUDGET]
     first = n + 1 if _orientation_conflict(dm) else n
+    unorderable = first > n
     for length in range(first, budget + 1):
         labels = _find_monotone_cover(dm, length, nodes)
         if labels is None:
+            if length == n:
+                unorderable = nodes[0] > 0  # ended with budget left: searched in full
             continue
         cover = _cover_to_dfa(dm, labels)
         order = tuple(range(len(labels)))
@@ -568,7 +573,9 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
         )
     exhausted = nodes[0] <= 0
     detail = "search budget exhausted" if exhausted else f"no ordered automaton with <= {budget} states"
-    return Verdict("unknown", bound=budget, evidence=f"{detail}; minimal automaton unorderable")
+    if unorderable:
+        detail += "; minimal automaton unorderable"
+    return Verdict("unknown", bound=budget, evidence=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +830,10 @@ def _slt_rows(
         k_max = default_k_max(dm)
         if def_verdict.value == "yes":
             # a definite language is window-representable with
-            # k <= (number of state pairs) + 1, so extend far enough
-            k_max = max(k_max, dm.n_states * (dm.n_states - 1) // 2 + 1)
+            # k <= (number of state pairs) + 1, so extend that far, or as
+            # far as the window space allows
+            pairs = dm.n_states * (dm.n_states - 1) // 2
+            k_max = max(k_max, clamp_window_width(dm.alphabet, pairs + 1))
     sweep = infer_slt(dm, k_max)
     rows = [(f"SLT{k}", _slt_k_verdict(None, w)) for k, w in enumerate(sweep.per_k_witness, 1)]
     if sweep.found_k is None:

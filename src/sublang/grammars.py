@@ -18,8 +18,8 @@ from .automata import (
     Alphabet,
     Dfa,
     InputError,
+    accept_distances,
     enumerate_upto,
-    longest_accepted_length,
     minimize,
     word_to_token,
 )
@@ -34,28 +34,30 @@ class LanguageHandle:
 
     Membership queries answer False for words outside U*, so selectors
     defined over a sub-alphabet simply reject foreign-symbol words.
+    `distances[q]` is the fewest steps from state q of `dfa` to
+    acceptance, None where acceptance is out of reach.
     """
 
     alphabet: Alphabet
     dfa: Dfa
     source: object  # RegexAst | SltRep | Dfa, kept for rendering/validation
-    max_word_len: int | None  # None = infinite, -1 = empty language
+    distances: tuple[int | None, ...]
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "LanguageHandle":
         dm = minimize(d)
-        return cls(dm.alphabet, dm, d, longest_accepted_length(dm))
+        return cls(dm.alphabet, dm, d, tuple(accept_distances(dm)))
 
     @classmethod
     def from_regex(cls, expr: RegexAst | str, alphabet: Alphabet | None = None) -> "LanguageHandle":
         ast = parse_regex(expr) if isinstance(expr, str) else expr
         dfa = compile_regex(ast, alphabet)
-        return cls(dfa.alphabet, dfa, ast, longest_accepted_length(dfa))
+        return cls(dfa.alphabet, dfa, ast, tuple(accept_distances(dfa)))
 
     @classmethod
     def from_slt(cls, rep: SltRep) -> "LanguageHandle":
         dfa = slt_to_dfa(rep)
-        return cls(rep.alphabet, dfa, rep, longest_accepted_length(dfa))
+        return cls(rep.alphabet, dfa, rep, tuple(accept_distances(dfa)))
 
     def contains(self, word: str) -> bool:
         return self.dfa.accepts(word)
@@ -145,9 +147,13 @@ def validate_grammar(g: ContextualGrammar) -> list[Diagnostic]:
         except UnknownFamilyTag as exc:
             out.append(Diagnostic("error", f"{where}: {exc}"))
             continue
-        if verdict.value in _DECLARED_FAMILY_DIAGNOSTICS:
-            severity, text = _DECLARED_FAMILY_DIAGNOSTICS[verdict.value]
-            out.append(Diagnostic(severity, f"{where}: " + text.format(family, verdict.render())))
+        except InputError as exc:  # a limit of the decision, not a fault of the grammar
+            value, detail = "unknown", str(exc)
+        else:
+            value, detail = verdict.value, verdict.render()
+        if value in _DECLARED_FAMILY_DIAGNOSTICS:
+            severity, text = _DECLARED_FAMILY_DIAGNOSTICS[value]
+            out.append(Diagnostic(severity, f"{where}: " + text.format(family, detail)))
     return out
 
 
@@ -182,21 +188,22 @@ def _successors(g: ContextualGrammar, mode: str, word: str, limit: int | None = 
                 for ctx in contexts:
                     yield ctx.left + word + ctx.right, p_idx, ctx, None
             continue
-        bound = sel.max_word_len  # -1 for the empty language: no split is tried
         dfa = sel.dfa
         trans = dfa.transitions
-        accepting = dfa.accepting
+        dist = sel.distances
         # None marks a foreign symbol for this selector's alphabet
         codes = [dfa.alphabet._index.get(c) for c in word]  # type: ignore[attr-defined]
         for i in range(n + 1):
-            end = n if bound is None or i + bound > n else i + bound
             q = dfa.start
             j = i
             while True:
-                if q in accepting:
+                d = dist[q]
+                if d is None or j + d > n:
+                    break  # no selected subword from i ends within the word
+                if d == 0:
                     for ctx in contexts:
                         yield word[:i] + ctx.left + word[i:j] + ctx.right + word[j:], p_idx, ctx, (i, j)
-                if j >= end:
+                if j == n:
                     break
                 s = codes[j]
                 if s is None:

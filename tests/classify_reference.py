@@ -190,9 +190,12 @@ def is_orderable(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
     n = dm.n_states
     budget = max(n, 2 * len(dm.alphabet) + 3)
     nodes = [_COVER_NODE_BUDGET]
+    unorderable = False
     for length in range(n, budget + 1):
         labels = _find_monotone_cover(dm, length, nodes)
         if labels is None:
+            if length == n:
+                unorderable = nodes[0] > 0
             continue
         cover = _cover_to_dfa(dm, labels)
         order = tuple(range(len(labels)))
@@ -204,4 +207,6 @@ def is_orderable(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
             evidence = f"ordered automaton with {length} states over {n} minimal classes"
         return Verdict("yes", evidence=evidence, payload=OrderCertificate(cover, order, labels))
     detail = "search budget exhausted" if nodes[0] <= 0 else f"no ordered automaton with <= {budget} states"
-    return Verdict("unknown", bound=budget, evidence=f"{detail}; minimal automaton unorderable")
+    if unorderable:
+        detail += "; minimal automaton unorderable"
+    return Verdict("unknown", bound=budget, evidence=detail)

@@ -34,12 +34,11 @@ def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Step
     for p_idx, pair in enumerate(g.pairs):
         sel = pair.selector
         dfa = sel.dfa
-        bound = sel.max_word_len
         sym_index = dfa.alphabet._index  # type: ignore[attr-defined]
         trans = dfa.transitions
         accepting = dfa.accepting
         contexts = [c for c in pair.contexts if not c.is_empty]
-        if not contexts or bound == -1:
+        if not contexts:
             continue
         for i in range(n + 1):
             q = dfa.start
@@ -51,7 +50,7 @@ def _internal_steps(g: ContextualGrammar, word: str) -> Iterator[tuple[str, Step
                             word[:i] + ctx.left + word[i:j] + ctx.right + word[j:],
                             (p_idx, ctx, (i, j)),
                         )
-                if j >= n or (bound is not None and j - i >= bound):
+                if j >= n:
                     break
                 s = sym_index.get(word[j])
                 if s is None:

@@ -14,12 +14,11 @@ from sublang.automata import (
     factor_sets,
     find_pump,
     intersect,
-    longest_accepted_length,
     minimize,
     union,
     universe_dfa,
 )
-from sublang.grammars import LanguageHandle
+from sublang.grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair, _successors
 from sublang.regexes import compile_regex
 
 AB = Alphabet.of("ab")
@@ -216,22 +215,19 @@ def test_factor_sets_window_consistency(corpus):
                     assert w[j : j + k] in interiors
 
 
-def test_longest_accepted_length():
-    assert longest_accepted_length(dfa_for_words(AB, ["ab", "b"])) == 2
-    assert longest_accepted_length(compile_regex("a*", AB)) is None
-    from sublang.regexes import Empty
-
-    assert longest_accepted_length(compile_regex(Empty(), AB)) == -1
-
-
-def test_longest_accepted_length_on_a_long_chain():
-    """The walk is iterative: a 1,500-state chain is deeper than Python's
-    recursion limit."""
+def test_selector_distances_on_a_long_chain():
+    """The backward distance search is iterative: a 1,500-state chain is
+    deeper than Python's recursion limit.  A word too short to reach
+    acceptance offers no internal step, and one just long enough offers
+    the step that selects all of it."""
     n = 1500
     trans = tuple((min(q + 1, n - 1),) for q in range(n))
     d = Dfa(Alphabet.of("a"), n, 0, frozenset({n - 2}), trans)
-    assert longest_accepted_length(d) == n - 2
-    assert LanguageHandle.from_dfa(d).max_word_len == n - 2
+    sel = LanguageHandle.from_dfa(d)
+    assert sel.distances[sel.dfa.start] == n - 2
+    g = ContextualGrammar(sel.alphabet, (SelectionPair(sel, (Context("a", ""),)),), ("a" * 10,))
+    assert list(_successors(g, "in", "a" * 10)) == []
+    assert [split for *_, split in _successors(g, "in", "a" * (n - 2))] == [(0, n - 2)]
 
 
 def test_dfa_for_words_roundtrip():

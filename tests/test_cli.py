@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sublang
+from sublang import automata
 from sublang.cli import main
 from sublang.formats import parse_slt_text
 
@@ -125,6 +127,17 @@ def test_classify_reports_the_monoid_cap(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: transition monoid too large for desk-scale analysis\n"
+
+
+def test_a_definite_language_past_the_window_space_gets_a_full_report(capsys, monkeypatch):
+    # the window space is lowered to |V|^11 over ab: a definite language
+    # needing windows of 13 letters, whose sweep extends to 79, stops at 11
+    monkeypatch.setattr(automata, "MAX_WORD_SPACE", 1 << 11)
+    code, out, err = run(capsys, "classify", "--input", "regex:(a|b)*" + "a" * 12)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "DEF yes" in lines
+    assert lines[-2:] == ["SLT11 no [witness=" + "a" * 11 + "]", "SLT unknown_up_to(11)"]
 
 
 @pytest.mark.parametrize(
@@ -326,6 +339,21 @@ def test_a_closed_stdout_ends_the_command_without_a_traceback():
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (1, "")
+
+
+def test_the_readme_command_lines_run(capsys, monkeypatch):
+    """Every `sublang ...` line of the README's "Command line" block runs
+    from the repository root and ends in 0 or 1 with nothing on stderr."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sublang ")]
+    assert len(lines) >= 9
+    monkeypatch.chdir(root)
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1) and err == "", line
 
 
 def test_verify_porcelain(capsys):

@@ -6,13 +6,14 @@ import pytest
 
 from conftest import all_words, random_dfa
 
-from sublang import families
+from sublang import automata, families
 
 from sublang.automata import (
     Alphabet,
     Dfa,
     InputError,
     are_equivalent,
+    clamp_window_width,
     complement,
     minimize,
 )
@@ -23,6 +24,7 @@ from sublang.families import (
     _find_monotone_cover,
     _orientation_conflict,
     classify,
+    decide_family,
     definite_to_slt,
     implication_violations,
     is_circular,
@@ -349,6 +351,26 @@ def test_orientation_conflict_settles_length_n():
     # a conflict at n leaves the longer chains to the search
     d = compile_regex("a|ab*a", AB)
     assert _orientation_conflict(minimize(d)) and is_orderable(d).value == "yes"
+
+
+def test_ord_evidence_calls_the_minimal_automaton_unorderable_only_when_proved(monkeypatch):
+    chain = one_letter_chain(50)
+    assert is_orderable(chain).value == "yes"
+    # the budget runs out at length n with no orientation conflict: the
+    # identity order was never reached, so nothing is proved about it
+    monkeypatch.setattr(families, "_COVER_NODE_BUDGET", 1000)
+    assert is_orderable(chain) == Verdict("unknown", bound=50, evidence="search budget exhausted")
+
+
+def test_a_definite_sweep_stops_at_the_widest_window(monkeypatch):
+    # a definite language extends the sweep to n(n-1)/2 + 1 windows (79 for
+    # 13 states), but no wider than the window space allows
+    assert [clamp_window_width(Alphabet.of(s), 191) for s in ("a", "ab", "abc")] == [191, 18, 11]
+    assert clamp_window_width(AB, 5) == 5
+    monkeypatch.setattr(automata, "MAX_WORD_SPACE", 1 << 11)
+    d = compile_regex("(a|b)*" + "a" * 12, AB)
+    assert is_definite(d).value == "yes" and minimize(d).n_states == 13
+    assert decide_family("SLT", d) == Verdict("unknown", bound=11)
 
 
 def test_classify_lemma_language():

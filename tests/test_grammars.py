@@ -5,6 +5,7 @@ import pytest
 import generation_reference
 from conftest import random_regex_ast
 
+from sublang import families
 from sublang.automata import Alphabet, InputError, difference, is_empty_language
 from sublang.families import classify
 from sublang.grammars import (
@@ -13,6 +14,7 @@ from sublang.grammars import (
     LanguageHandle,
     SelectionPair,
     StepCapExceeded,
+    _successors,
     compare_bounded,
     external_successors,
     generate_bounded,
@@ -20,7 +22,7 @@ from sublang.grammars import (
     internal_successors,
     validate_grammar,
 )
-from sublang.regexes import Union, compile_regex
+from sublang.regexes import Empty, Union, compile_regex
 from sublang.witnesses import dyck_grammar, ec35_grammar, ic32_grammar, ic34_grammar
 
 AB = Alphabet.of("ab")
@@ -46,6 +48,17 @@ def test_internal_successors_examples():
     gd = dyck_grammar()
     assert internal_successors(gd, "") == {"cd"}
     assert internal_successors(gd, "cd") == {"ccdd", "cdcd"}
+
+
+def test_an_empty_selector_offers_no_internal_step():
+    # the random grammars of the property tests never draw an empty selector
+    sel = LanguageHandle.from_regex(Empty(), AB)
+    assert sel.distances[sel.dfa.start] is None
+    g = ContextualGrammar(AB, (SelectionPair(sel, (Context("a", "b"),)),), ("ab",))
+    for w in ("", "ab", "abba"):
+        assert list(_successors(g, "in", w)) == []
+        assert list(generation_reference._internal_steps(g, w)) == []
+    assert generate_bounded(g, "in", 6) == ["ab"]
 
 
 def test_generate_bounded_examples():
@@ -249,6 +262,19 @@ def test_declared_family_diagnostics_read_the_report_verdicts():
     assert classify(one_b.dfa).verdict("SLT2").render() == "no [witness=aa]"
     assert declared_family_diagnostics(one_b, "SLT2") == [
         ("error", "pair 0: selector fails the declared family SLT2: no [witness=aa]")
+    ]
+
+
+def test_a_declared_family_past_a_limit_is_not_confirmed(monkeypatch):
+    abc = Alphabet.of("abc")
+    assert declared_family_diagnostics(LanguageHandle.from_regex("a*b", abc), "SLT20") == [
+        ("warning", "pair 0: declared family SLT20 not confirmed: window space |V|^20 too large")
+    ]
+    # SLT reads NC, whose "yes" needs the whole monoid of this definite language
+    monkeypatch.setattr(families, "_MONOID_CAP", 3)
+    assert declared_family_diagnostics(LanguageHandle.from_regex("(a|b)*abb", AB), "SLT") == [
+        ("warning", "pair 0: declared family SLT not confirmed: "
+         "transition monoid too large for desk-scale analysis")
     ]
 
 
