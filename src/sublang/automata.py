@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 # Hard ceiling on |V|**k style window/word spaces; beyond this the exact
 # set-based algorithms would stop being "desk scale".
@@ -37,6 +36,48 @@ def clamp_window_width(alphabet: Alphabet, k: int) -> int:
     return width
 
 
+class Record:
+    """Base of the package's immutable records with slots.
+
+    A subclass names its value fields in `_fields`, in positional order,
+    declares them in `__slots__` and sets them in its `__init__` with
+    `_set_fields`.  Records are equal when they have the same type and
+    equal fields, so two types with equal fields stay unequal; the hash and
+    the repr read the same fields, and assignment raises AttributeError.
+    The package's other records are `typing.NamedTuple`s, which cost less
+    to define; a Record reads its fields faster, which inner loops need,
+    and equals no plain tuple, which the regex nodes need.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
 EMPTY_TOKEN = "_"
 
 
@@ -45,26 +86,28 @@ def word_to_token(word: str) -> str:
     return word if word else EMPTY_TOKEN
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Ordered set of single-character symbols.
 
     Declaration order is the tie-break order for every enumeration and
     every lexicographic comparison in this package.  `order_table` maps each
     symbol to chr(its index): `w.translate(order_table)` orders like `word_key`.
+    `_index` and `order_table` derive from `symbols` and stay out of
+    equality, hash and repr.
     """
 
-    symbols: tuple[str, ...]
-    order_table: dict[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbols", "_index", "order_table")
+    _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        for s in self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        for s in symbols:
             if len(s) != 1:
                 raise InputError(f"alphabet symbols must be single characters, got {s!r}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise InputError(f"duplicate alphabet symbols in {self.symbols!r}")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
-        object.__setattr__(self, "order_table", {ord(s): i for i, s in enumerate(self.symbols)})
+        if len(set(symbols)) != len(symbols):
+            raise InputError(f"duplicate alphabet symbols in {symbols!r}")
+        self._set_fields(symbols)
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
+        object.__setattr__(self, "order_table", {ord(s): i for i, s in enumerate(symbols)})
 
     @classmethod
     def of(cls, symbols: Iterable[str]) -> "Alphabet":
@@ -107,35 +150,39 @@ class Alphabet:
             yield from self.words_of_length(k)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Complete DFA: the transition map is total on states x alphabet.
 
-    States are 0..n_states-1.  `minimal` promises that the DFA is minimal
-    (all states reachable and pairwise distinguishable) and canonically
-    numbered, so minimize() returns it unchanged.
+    States are 0..n_states-1; `transitions[state][symbol index]` is the
+    target state.  `minimal` promises that the DFA is minimal (all states
+    reachable and pairwise distinguishable) and canonically numbered, so
+    minimize() returns it unchanged.
     """
 
-    alphabet: Alphabet
-    n_states: int
-    start: int
-    accepting: frozenset[int]
-    transitions: tuple[tuple[int, ...], ...]  # [state][symbol index] -> state
-    minimal: bool = False
+    __slots__ = _fields = ("alphabet", "n_states", "start", "accepting", "transitions", "minimal")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.n_states):
-            raise InputError(f"start state {self.start} out of range")
-        if len(self.transitions) != self.n_states:
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        n_states: int,
+        start: int,
+        accepting: frozenset[int],
+        transitions: tuple[tuple[int, ...], ...],
+        minimal: bool = False,
+    ) -> None:
+        if not (0 <= start < n_states):
+            raise InputError(f"start state {start} out of range")
+        if len(transitions) != n_states:
             raise InputError("transition table must have one row per state")
-        for q, row in enumerate(self.transitions):
-            if len(row) != len(self.alphabet):
+        for q, row in enumerate(transitions):
+            if len(row) != len(alphabet):
                 raise InputError(f"state {q}: transition row must cover the whole alphabet")
             for t in row:
-                if not (0 <= t < self.n_states):
+                if not (0 <= t < n_states):
                     raise InputError(f"transition target {t} out of range")
-        if not all(0 <= q < self.n_states for q in self.accepting):
+        if not all(0 <= q < n_states for q in accepting):
             raise InputError("accepting state out of range")
+        self._set_fields(alphabet, n_states, start, accepting, transitions, minimal)
 
     def step(self, state: int, sym: str) -> int:
         return self.transitions[state][self.alphabet.index(sym)]
@@ -357,8 +404,7 @@ def difference(l1: Dfa, l2: Dfa) -> Dfa:
     return _product(l1, l2, lambda a, b: a and not b)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equal: bool
     witness: str | None  # length-lex minimal word in the symmetric difference
 

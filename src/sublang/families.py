@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import (
     Alphabet,
@@ -20,7 +20,6 @@ from .automata import (
     Nfa,
     are_equivalent,
     check_window_space,
-    clamp_window_width,
     complement,
     find_cycle,
     find_pump,
@@ -54,8 +53,7 @@ _MONOID_FAMILIES = frozenset({"ORD", "NC", "PS"})
 FAMILY_BASE_ORDER = (*FAMILY_PROCEDURES, "UF")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     value: str  # "yes" | "no" | "unknown"
     bound: int | None = None  # search bound for bounded unknowns
     evidence: str | None = None
@@ -317,8 +315,7 @@ def verify_order(d: Dfa, order: tuple[int, ...] | list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(NamedTuple):
     """An ordered automaton for the language, with its monotone state chain.
 
     `dfa`'s states are already numbered along the chain (order is the
@@ -771,8 +768,7 @@ def decide_family(
     return _slt_k_verdict(res.rep, res.witness)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     alphabet: Alphabet
     entries: tuple[tuple[str, Verdict], ...]
 
@@ -830,14 +826,14 @@ def _slt_rows(
         k_max = default_k_max(dm)
         if def_verdict.value == "yes":
             # a definite language is window-representable with
-            # k <= (number of state pairs) + 1, so extend that far, or as
-            # far as the window space allows
+            # k <= (number of state pairs) + 1, so extend that far; the
+            # sweep stops where the window space ends
             pairs = dm.n_states * (dm.n_states - 1) // 2
-            k_max = max(k_max, clamp_window_width(dm.alphabet, pairs + 1))
+            k_max = max(k_max, pairs + 1)
     sweep = infer_slt(dm, k_max)
     rows = [(f"SLT{k}", _slt_k_verdict(None, w)) for k, w in enumerate(sweep.per_k_witness, 1)]
     if sweep.found_k is None:
-        return [*rows, ("SLT", Verdict("unknown", bound=k_max))]
+        return [*rows, ("SLT", Verdict("unknown", bound=sweep.k_max))]
     found = (f"SLT{sweep.found_k}", _slt_k_verdict(sweep.rep, None))
     return [*rows, found, ("SLT", _yes(f"k={sweep.found_k}", payload=sweep.rep))]
 

@@ -7,7 +7,6 @@ Every renderer produces text that re-parses to an equivalent object.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .automata import EMPTY_TOKEN, Alphabet, Dfa, InputError, word_to_token
 from .grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair
@@ -200,14 +199,16 @@ def parse_slt_file(path: str) -> SltRep:
 # grammar format
 
 
-@dataclass
 class _PairDraft:
-    where: str
-    select: tuple[str, str] | None = None  # (kind, payload)
-    select_alphabet: Alphabet | None = None
-    family: str | None = None
-    contexts: list[Context] | None = None
-    seen: set[str] = field(default_factory=set)  # its select, select-alphabet and family lines
+    """The lines of a pair block read so far."""
+
+    def __init__(self, where: str) -> None:
+        self.where = where
+        self.select: tuple[str, str] | None = None  # (kind, payload)
+        self.select_alphabet: Alphabet | None = None
+        self.family: str | None = None
+        self.contexts: list[Context] = []
+        self.seen: set[str] = set()  # its select, select-alphabet and family lines
 
 
 def parse_grammar_text(
@@ -263,7 +264,7 @@ def parse_grammar_text(
                 raise FormatError(f"{where}: nested pair (missing end?)")
             if alphabet is None:
                 raise FormatError(f"{where}: pair before alphabet line")
-            draft = _PairDraft(where=where, contexts=[])
+            draft = _PairDraft(where)
         elif kind == "end":
             if draft is None:
                 raise FormatError(f"{where}: end without pair")
@@ -293,7 +294,7 @@ def parse_grammar_text(
             parts = [p.strip() for p in " ".join(rest).split(",")]
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise FormatError(f"{where}: context syntax is `context <left> , <right>`")
-            draft.contexts.append(  # type: ignore[union-attr]
+            draft.contexts.append(
                 Context(
                     word_from_token(parts[0], alphabet, where),
                     word_from_token(parts[1], alphabet, where),

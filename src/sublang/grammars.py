@@ -11,13 +11,13 @@ word, so a length bound makes it exhaustive.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .automata import (
     Alphabet,
     Dfa,
     InputError,
+    Record,
     accept_distances,
     enumerate_upto,
     minimize,
@@ -28,8 +28,7 @@ from .regexes import RegexAst, compile_regex, parse_regex
 from .slt import SltRep, slt_to_dfa
 
 
-@dataclass(frozen=True)
-class LanguageHandle:
+class LanguageHandle(NamedTuple):
     """A selection language over its own alphabet U.
 
     Membership queries answer False for words outside U*, so selectors
@@ -66,25 +65,26 @@ class LanguageHandle:
         return enumerate_upto(self.dfa, max_len)
 
 
-@dataclass(frozen=True)
-class Context:
-    left: str
-    right: str
+class Context(Record):
+    """The words a derivation step puts left and right of the selected word."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: str, right: str) -> None:
+        self._set_fields(left, right)
 
     @property
     def is_empty(self) -> bool:
         return not self.left and not self.right
 
 
-@dataclass(frozen=True)
-class SelectionPair:
+class SelectionPair(NamedTuple):
     selector: LanguageHandle
     contexts: tuple[Context, ...]
     declared_family: str | None = None
 
 
-@dataclass(frozen=True)
-class ContextualGrammar:
+class ContextualGrammar(NamedTuple):
     alphabet: Alphabet
     pairs: tuple[SelectionPair, ...]
     axioms: tuple[str, ...]
@@ -93,8 +93,7 @@ class ContextualGrammar:
 MODES = ("ex", "in")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
 
@@ -296,8 +295,7 @@ def generate_bounded(
 # bounded comparison
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     max_len: int
     left_only: tuple[str, ...]
     right_only: tuple[str, ...]
@@ -328,7 +326,8 @@ def bounded_words(source: BoundedSource, max_len: int) -> list[str]:
         return source.bounded_words(max_len)
     if isinstance(source, Dfa):
         return enumerate_upto(source, max_len)
-    if isinstance(source, (set, frozenset, list, tuple)):
+    if isinstance(source, (set, frozenset, list, tuple)) and not hasattr(source, "_fields"):
+        # a record is a named tuple, not a word collection
         return sorted({w for w in source if len(w) <= max_len}, key=lambda w: (len(w), w))
     raise InputError(f"cannot enumerate a {type(source).__name__} source")
 

@@ -7,47 +7,58 @@ is ignored, so `b b*` reads as `bb*`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .automata import Alphabet, Dfa, InputError, Nfa, minimize
+from .automata import Alphabet, Dfa, InputError, Nfa, Record, minimize
 
 
-class RegexAst:
-    """Base class for expression nodes."""
+class RegexAst(Record):
+    """Base class for expression nodes.
+
+    Nodes of two types are unequal even when their fields are equal, so
+    `Concat(a, b) != Union(a, b)`.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(RegexAst):
     """The empty language (no surface syntax; API-level only)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Epsilon(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Sym(RegexAst):
-    char: str
+    __slots__ = _fields = ("char",)
+
+    def __init__(self, char: str) -> None:
+        self._set_fields(char)
 
 
-@dataclass(frozen=True)
-class Concat(RegexAst):
-    left: RegexAst
-    right: RegexAst
+class _Binary(RegexAst):
+    """A node with two operands; its subclasses differ only in type."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: RegexAst, right: RegexAst) -> None:
+        self._set_fields(left, right)
 
 
-@dataclass(frozen=True)
-class Union(RegexAst):
-    left: RegexAst
-    right: RegexAst
+class Concat(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Union(_Binary):
+    __slots__ = ()
+
+
 class Star(RegexAst):
-    inner: RegexAst
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: RegexAst) -> None:
+        self._set_fields(inner)
 
 
 _META = set("|*()_")

@@ -11,15 +11,17 @@ are listed among the short words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import (
     Alphabet,
     Dfa,
     InputError,
     LanguageWindows,
+    Record,
     are_equivalent,
     check_window_space,
+    clamp_window_width,
     enumerate_upto,
     explore,
     factor_sets,
@@ -28,35 +30,34 @@ from .automata import (
 )
 
 
-@dataclass(frozen=True)
-class SltRep:
+class SltRep(Record):
     """Window-set representation of a strictly locally k-testable language."""
 
-    k: int
-    alphabet: Alphabet
-    prefixes: frozenset[str]
-    interiors: frozenset[str]
-    suffixes: frozenset[str]
-    short_words: frozenset[str]
+    __slots__ = _fields = ("k", "alphabet", "prefixes", "interiors", "suffixes", "short_words")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(
+        self,
+        k: int,
+        alphabet: Alphabet,
+        prefixes: frozenset[str],
+        interiors: frozenset[str],
+        suffixes: frozenset[str],
+        short_words: frozenset[str],
+    ) -> None:
+        if k < 1:
             raise InputError("window length k must be >= 1")
-        for name, words in (
-            ("prefix", self.prefixes),
-            ("interior", self.interiors),
-            ("suffix", self.suffixes),
-        ):
+        for name, words in (("prefix", prefixes), ("interior", interiors), ("suffix", suffixes)):
             for w in words:
-                if len(w) != self.k:
-                    raise InputError(f"{name} window {w!r} must have length exactly {self.k}")
-                if not self.alphabet.covers(w):
+                if len(w) != k:
+                    raise InputError(f"{name} window {w!r} must have length exactly {k}")
+                if not alphabet.covers(w):
                     raise InputError(f"{name} window {w!r} not over the alphabet")
-        for w in self.short_words:
-            if len(w) >= self.k:
-                raise InputError(f"short word {w!r} must be shorter than k={self.k}")
-            if not self.alphabet.covers(w):
+        for w in short_words:
+            if len(w) >= k:
+                raise InputError(f"short word {w!r} must be shorter than k={k}")
+            if not alphabet.covers(w):
                 raise InputError(f"short word {w!r} not over the alphabet")
+        self._set_fields(k, alphabet, prefixes, interiors, suffixes, short_words)
 
     def sorted_fields(self) -> tuple[list[str], list[str], list[str], list[str]]:
         s = self.alphabet.sort_words
@@ -199,8 +200,7 @@ def canonical_rep(d: Dfa, k: int) -> SltRep:
     return make_rep(k, d.alphabet, starts, interiors, ends, short)
 
 
-@dataclass(frozen=True)
-class SltKResult:
+class SltKResult(NamedTuple):
     is_slt_k: bool
     rep: SltRep | None  # exact representation on yes
     witness: str | None  # word separating L from the canonical candidate on no
@@ -240,12 +240,11 @@ def is_slt_k(d: Dfa, k: int) -> SltKResult:
     return SltKResult(True, rep, None)
 
 
-@dataclass(frozen=True)
-class InferSltResult:
+class InferSltResult(NamedTuple):
     found_k: int | None
     rep: SltRep | None
     k_max: int  # bound actually searched
-    per_k_witness: tuple[str, ...] = field(default=())
+    per_k_witness: tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -276,10 +275,13 @@ def check_k_max(k_max: int | None) -> None:
 
 
 def infer_slt(d: Dfa, k_max: int | None = None) -> InferSltResult:
-    """Smallest k <= k_max admitting a representation, else a bounded negative."""
+    """Smallest k <= k_max admitting a representation, else a bounded negative.
+
+    A cap past the window space (`check_window_space`) is lowered to the
+    widest window length it allows, and the result reports the cap searched.
+    """
     check_k_max(k_max)
-    if k_max is None:
-        k_max = default_k_max(d)
+    k_max = clamp_window_width(d.alphabet, default_k_max(d) if k_max is None else k_max)
     witnesses: list[str] = []
     for k in range(1, k_max + 1):
         res = is_slt_k(d, k)

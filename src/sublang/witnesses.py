@@ -11,7 +11,6 @@ builders and counters, never the grammar engine itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .automata import Alphabet, Dfa, InputError, are_equivalent, word_to_token
@@ -386,8 +385,7 @@ def kk_oracle_upto(k: int, max_len: int) -> list[str]:
 # lemma verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "out-of-scope"
     detail: str = ""
@@ -399,8 +397,7 @@ class CheckResult:
         return line
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     witness_id: str
     checks: tuple[CheckResult, ...]
 

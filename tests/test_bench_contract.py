@@ -15,12 +15,16 @@ import glob
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sublang
 from sublang import families, witnesses
 from sublang.cli import main
 
+SRC = os.path.dirname(os.path.dirname(sublang.__file__))
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 TRACING = os.path.join(PERFBENCH, "tracing.py")
 SPANS = (
@@ -78,6 +82,33 @@ def test_tracer_finds_its_targets_records_spans_and_restores_the_program(tracing
     for owner, attr, original in patched:
         held = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert held is original, attr
+
+
+def test_tracer_rebinds_every_target_under_the_benchmarks_import_state():
+    # `perfbench/run.py` imports only `sublang.cli` before it installs the
+    # tracer, and `install` rebinds names only in modules already loaded; a
+    # module the CLI stops importing would lose its spans without an error
+    code = (
+        "import importlib.util, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import sublang.cli\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracing', {TRACING!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "rebound = {(id(owner), attr) for owner, attr, _ in tracer._patched}\n"
+        "targets = tracer._targets()\n"
+        "print(len(targets))\n"
+        "for name, owner, attr, _ in targets:\n"
+        "    if (id(owner), attr) not in rebound:\n"
+        "        print('not rebound:', name, attr)\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    count, *missing = done.stdout.splitlines()
+    assert int(count) > 0
+    assert missing == []
 
 
 def test_every_perfbench_import_from_the_program_resolves():

@@ -140,6 +140,31 @@ def test_a_definite_language_past_the_window_space_gets_a_full_report(capsys, mo
     assert lines[-2:] == ["SLT11 no [witness=" + "a" * 11 + "]", "SLT unknown_up_to(11)"]
 
 
+def test_a_k_max_past_the_window_space_is_clamped_in_the_report(capsys, monkeypatch):
+    # the window space is lowered to 64: over abc the widest window is 3
+    monkeypatch.setattr(automata, "MAX_WORD_SPACE", 1 << 6)
+    code, out, err = run(capsys, "classify", "--input", "regex:(a|b|c)*a(a|b|c)*", "--k-max", "13")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-4:] == [
+        "SLT1 no [witness=b]",
+        "SLT2 no [witness=bb]",
+        "SLT3 no [witness=bbb]",
+        "SLT unknown_up_to(3)",
+    ]
+
+
+def test_verify_with_a_k_max_past_the_window_space_names_the_cap_searched(capsys, monkeypatch):
+    # over two letters a window space of 64 allows windows of 6 letters
+    monkeypatch.setattr(automata, "MAX_WORD_SPACE", 1 << 6)
+    code, out, err = run(capsys, "verify", "--lemma", "all", "--k-max", "19")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "PASS"
+    sweeps = [line.split()[1].rstrip(":") for line in lines if "-not-window-testable-up-to-" in line]
+    assert sweeps == ["selector-1-not-window-testable-up-to-6", "selector-not-window-testable-up-to-6"]
+
+
 @pytest.mark.parametrize(
     "expr",
     ["a*" * 1200, "a|" * 1199 + "a", "(" * 1200 + "a" + ")" * 1200],

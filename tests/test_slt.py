@@ -2,6 +2,7 @@ import pytest
 
 from conftest import all_words
 
+from sublang import automata
 from sublang.automata import Alphabet, InputError, are_equivalent, enumerate_upto
 from sublang.regexes import compile_regex
 from sublang.slt import (
@@ -124,6 +125,16 @@ def test_infer_slt_examples():
     res = infer_slt(compile_regex("a*ba*", AB), k_max=4)
     assert not res.found
     assert res.k_max == 4
+
+
+def test_infer_slt_clamps_a_cap_past_the_window_space(monkeypatch):
+    # |V|^3 = 27 fits a window space of 64 over abc, |V|^4 = 81 does not
+    monkeypatch.setattr(automata, "MAX_WORD_SPACE", 1 << 6)
+    d = compile_regex("(a|b|c)*a(a|b|c)*", Alphabet.of("abc"))
+    res = infer_slt(d, k_max=13)
+    assert not res.found
+    assert res.k_max == 3
+    assert res.per_k_witness == ("b", "bb", "bbb")
 
 
 def test_canonical_rep_equals_factor_sets_plus_short_words():
