@@ -6,6 +6,7 @@ from .automata import (
     EquivalenceResult,
     InputError,
     Nfa,
+    accepted_words,
     are_equivalent,
     complement,
     difference,

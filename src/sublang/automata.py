@@ -426,36 +426,47 @@ def are_equivalent(l1: Dfa, l2: Dfa) -> EquivalenceResult:
 
 
 def enumerate_upto(d: Dfa, n: int) -> list[str]:
-    """All accepted words of length <= n, sorted (length, lex).
+    """All accepted words of length <= n, sorted (length, lex)."""
+    return list(accepted_words(d, n))
 
-    Prefix search pruned by distance-to-acceptance, so the cost tracks the
-    number of live prefixes rather than |V|**n.
+
+def accepted_words(d: Dfa, n: int) -> Iterator[str]:
+    """The accepted words of length <= n, one at a time in (length, lex) order.
+
+    One depth-first walk per length takes symbols in alphabet order and
+    extends a prefix only where some word of exactly the letters left
+    leads its state to acceptance, so every prefix it builds begins a
+    word of that length, and it holds one path of the walk with its
+    siblings, not a whole length level.  Once no state accepts in exactly
+    r letters, none does in more, so the walk ends there.
     """
     if n < 0:
         raise InputError("length bound must be >= 0")
-    dist = accept_distances(d)
-    out: list[str] = []
-    level: list[tuple[str, int]] = [("", d.start)]
-    if dist[d.start] is None:
-        return out
-    for length in range(n + 1):
-        for w, q in level:
-            if q in d.accepting:
-                out.append(w)
-        if length == n:
-            break
-        nxt: list[tuple[str, int]] = []
-        remaining = n - length - 1
-        for w, q in level:
-            for i, a in enumerate(d.alphabet):
-                t = d.transitions[q][i]
-                dt = dist[t]
-                if dt is not None and dt <= remaining:
-                    nxt.append((w + a, t))
-        level = nxt
-        if not level:
-            break
-    return out
+    moves = [list(zip(d.alphabet.symbols, row)) for row in d.transitions]
+    # last symbol first, so the stack pops them in order
+    pushes = [m[::-1] for m in moves]
+    # ends[r][q]: some word of exactly r letters leads q to acceptance
+    ends = [[q in d.accepting for q in range(d.n_states)]]
+    if ends[0][d.start]:
+        yield ""
+    for length in range(1, n + 1):
+        last = ends[-1]
+        ends.append([any(last[t] for t in row) for row in d.transitions])
+        if not any(ends[length]):
+            return
+        if not ends[length][d.start]:
+            continue
+        stack = [("", d.start)]
+        while stack:
+            w, q = stack.pop()
+            left = length - len(w) - 1
+            live = ends[left]
+            if left:
+                stack.extend([(w + a, t) for a, t in pushes[q] if live[t]])
+            else:  # the last letter: its words come in symbol order
+                for a, t in moves[q]:
+                    if live[t]:
+                        yield w + a
 
 
 def find_cycle(symbols, roots, succ) -> tuple[object, str] | None:

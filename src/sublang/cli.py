@@ -11,8 +11,9 @@ import argparse
 import functools
 import os
 import sys
+from typing import Iterable
 
-from .automata import Alphabet, InputError, enumerate_upto, word_to_token
+from .automata import Alphabet, InputError, accepted_words, word_to_token
 from .families import classify, definite_to_slt
 from .formats import (
     parse_dfa_file,
@@ -83,7 +84,7 @@ def _compare_source(spec: str, alphabet: Alphabet | None, max_len: int):
     return dfa
 
 
-def _print_words(words: list[str]) -> None:
+def _print_words(words: Iterable[str]) -> None:
     for w in words:
         print(word_to_token(w))
 
@@ -173,7 +174,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     dfa, _ = _language_input(args.input, alphabet)
-    _print_words(enumerate_upto(dfa, args.max_len))
+    _print_words(accepted_words(dfa, args.max_len))  # printed as the walk finds them
     return 0
 
 

@@ -596,7 +596,8 @@ class TransitionMonoid:
     stops at a witness never builds the rest.  BFS finds the elements in
     shortlex order of their least words, so the first element with a
     property is the same however far the search has run.  `len` and
-    `from_dfa` need the whole monoid.  The cap is `_MONOID_CAP`, read when
+    `from_dfa` need the whole monoid; once the search is complete, `len`
+    reads the element count.  The cap is `_MONOID_CAP`, read when
     the monoid is read: a reader that needs element `_MONOID_CAP + 1`
     raises `InputError`, and so does every later reader that goes as far.
     """
@@ -615,17 +616,26 @@ class TransitionMonoid:
         len(m)
         return m
 
+    def _grow(self) -> bool:
+        """Run the search to its next element; False once it is complete."""
+        size = len(self.elements)
+        if not next(self._search, False):
+            return False
+        if len(self.elements) == size:
+            # the search pauses without appending only at the cap
+            raise InputError("transition monoid too large for desk-scale analysis")
+        return True
+
     def __iter__(self):
         i = 0
-        while i < len(self.elements) or next(self._search, False):
-            if i == len(self.elements):
-                # the search pauses without appending only at the cap
-                raise InputError("transition monoid too large for desk-scale analysis")
+        while i < len(self.elements) or self._grow():
             yield self.elements[i], self.words[i]
             i += 1
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        while self._grow():
+            pass
+        return len(self.elements)
 
     def counters(self):
         """(word, tail, period, mixed) of each element whose power cycle

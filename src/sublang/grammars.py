@@ -3,15 +3,16 @@
 External derivation wraps a context around the whole word when the word
 belongs to a pair's selection language; internal derivation wraps it
 around any subword belonging to the selection language.  One successor
-kernel yields each step as a plain tuple; generation is a closure over
-it by length layers, because every kept step strictly lengthens the
-word, so a length bound makes it exhaustive.
+kernel builds (and, if asked, checks) the steps of a word as a list of
+words, reading each pair through a plan built once per call; generation
+is a closure over it by length layers, because every kept step strictly
+lengthens the word, so a length bound makes it exhaustive.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .automata import (
     Alphabet,
@@ -164,44 +165,82 @@ def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
 # derivation steps
 
 
-Successor = tuple[str, int, Context, tuple[int, int] | None]  # y, pair_index, context, split
+def _step_plan(g: ContextualGrammar) -> list[tuple]:
+    """What the successor kernel reads of each pair, as plain tuples.
+
+    Per pair: the non-empty contexts as (left, right, len(left)), each
+    subset of them by room left under a length bound (None: all), the
+    selector's membership test, transitions, distances, start and symbol
+    index, and a membership memo keyed by the subword.  Empty contexts
+    are dropped as self-loops, so every step strictly lengthens the word.
+    """
+    plan = []
+    for pair in g.pairs:
+        contexts = tuple((c.left, c.right, len(c.left)) for c in pair.contexts if not c.is_empty)
+        sel = pair.selector
+        dfa = sel.dfa
+        plan.append((
+            {None: contexts}, sel.contains, dfa.transitions, sel.distances, dfa.start,
+            dfa.alphabet._index, {},  # type: ignore[attr-defined]
+        ))
+    return plan
 
 
-def _successors(g: ContextualGrammar, mode: str, word: str, limit: int | None = None) -> Iterator[Successor]:
+def _successors(
+    plan: list[tuple], mode: str, word: str, limit: int | None = None, check: bool = False
+) -> list[str]:
     """Every one-step derivation of word, in (pair, split, context) order.
 
-    Empty contexts are dropped as self-loops, so every y is strictly
-    longer than word; given a limit, so are contexts that would make y
-    longer than it, and a pair with none left is not scanned.
+    Given a limit, contexts that would make a step longer than it are
+    dropped, and a pair with none left is not scanned.  With check on,
+    each step is checked as it is built: it must lengthen word, and in
+    internal mode the step's own slice at the shifted split must still
+    be selected (decided once per pair and subword).
     """
     n = len(word)
     room = None if limit is None else limit - n
-    for p_idx, pair in enumerate(g.pairs):
-        contexts = [c for c in pair.contexts
-                    if not c.is_empty and (room is None or len(c.left) + len(c.right) <= room)]
+    out: list[str] = []
+    for by_room, contains, trans, dist, start, index, selected in plan:
+        contexts = by_room.get(room)
+        if contexts is None:
+            contexts = by_room[room] = tuple(c for c in by_room[None] if len(c[0]) + len(c[1]) <= room)
         if not contexts:
             continue
-        sel = pair.selector
         if mode == "ex":
-            if sel.contains(word):
-                for ctx in contexts:
-                    yield ctx.left + word + ctx.right, p_idx, ctx, None
+            if contains(word):
+                for left, right, _ in contexts:
+                    y = left + word + right
+                    if check and len(y) <= n:
+                        raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
+                    out.append(y)
             continue
-        dfa = sel.dfa
-        trans = dfa.transitions
-        dist = sel.distances
         # None marks a foreign symbol for this selector's alphabet
-        codes = [dfa.alphabet._index.get(c) for c in word]  # type: ignore[attr-defined]
+        codes = [index.get(c) for c in word]
         for i in range(n + 1):
-            q = dfa.start
+            head = word[:i]
+            q = start
             j = i
             while True:
                 d = dist[q]
                 if d is None or j + d > n:
                     break  # no selected subword from i ends within the word
                 if d == 0:
-                    for ctx in contexts:
-                        yield word[:i] + ctx.left + word[i:j] + ctx.right + word[j:], p_idx, ctx, (i, j)
+                    mid = word[i:j]
+                    tail = word[j:]
+                    for left, right, shift in contexts:
+                        y = head + left + mid + right + tail
+                        if check:
+                            if len(y) <= n:
+                                raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
+                            # re-applicability: after insertion the selected
+                            # subword is intact, so the pair must still select it
+                            inner = y[i + shift : j + shift]
+                            ok = selected.get(inner)
+                            if ok is None:
+                                ok = selected[inner] = contains(inner)
+                            if not ok:
+                                raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
+                        out.append(y)
                 if j == n:
                     break
                 s = codes[j]
@@ -209,14 +248,15 @@ def _successors(g: ContextualGrammar, mode: str, word: str, limit: int | None = 
                     break
                 q = trans[q][s]
                 j += 1
+    return out
 
 
 def external_successors(g: ContextualGrammar, word: str) -> set[str]:
-    return {step[0] for step in _successors(g, "ex", word)}
+    return set(_successors(_step_plan(g), "ex", word))
 
 
 def internal_successors(g: ContextualGrammar, word: str) -> set[str]:
-    return {step[0] for step in _successors(g, "in", word)}
+    return set(_successors(_step_plan(g), "in", word))
 
 
 class StepCapExceeded(RuntimeError):
@@ -240,8 +280,9 @@ def generate_bounded(
     Every kept step strictly lengthens the word, so the closure runs by
     length layers: a layer is complete once the shorter ones are expanded,
     is sorted once, and its words are expanded in order, each once.
-    check_invariants checks every candidate, also those beyond max_len;
-    the membership of a selected subword is decided once per (pair, subword).
+    check_invariants has the kernel check every step it builds, also
+    those beyond max_len; the membership of a selected subword is decided
+    once per (pair, subword) in the call.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
@@ -258,8 +299,8 @@ def generate_bounded(
     layers: defaultdict[int, list[str]] = defaultdict(list)
     for w in seen:
         layers[len(w)].append(w)
+    plan = _step_plan(g)
     limit = None if check_invariants else max_len
-    selected: dict[tuple[int, str], bool] = {}
     out: list[str] = []
     expansions = 0
     while layers:
@@ -268,25 +309,10 @@ def generate_bounded(
             if step_cap is not None and expansions >= step_cap:
                 raise StepCapExceeded(g.alphabet.sort_words(seen), expansions)
             expansions += 1
-            n = len(w)
-            for y, p_idx, ctx, split in _successors(g, mode, w, limit):
-                m = len(y)
-                if check_invariants:
-                    if m <= n:
-                        raise AssertionError(f"derivation step shortened {w!r} to {y!r}")
-                    if split is not None:
-                        # re-applicability: after insertion the selected subword
-                        # is intact, so the same pair must still select it
-                        shift = len(ctx.left)
-                        key = (p_idx, y[split[0] + shift : split[1] + shift])
-                        ok = selected.get(key)
-                        if ok is None:
-                            ok = selected[key] = g.pairs[p_idx].selector.contains(key[1])
-                        if not ok:
-                            raise AssertionError(f"inserted context destroyed the selected subword of {w!r}")
-                if m <= max_len and y not in seen:
+            for y in _successors(plan, mode, w, limit, check_invariants):
+                if len(y) <= max_len and y not in seen:
                     seen.add(y)
-                    layers[m].append(y)
+                    layers[len(y)].append(y)
         out.extend(layer)
     return out
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import all_words, brute_accepted
@@ -6,6 +8,7 @@ from sublang.automata import (
     Alphabet,
     Dfa,
     InputError,
+    accepted_words,
     are_equivalent,
     complement,
     difference,
@@ -18,7 +21,7 @@ from sublang.automata import (
     union,
     universe_dfa,
 )
-from sublang.grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair, _successors
+from sublang.grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair, _step_plan, _successors
 from sublang.regexes import compile_regex
 
 AB = Alphabet.of("ab")
@@ -225,9 +228,22 @@ def test_selector_distances_on_a_long_chain():
     d = Dfa(Alphabet.of("a"), n, 0, frozenset({n - 2}), trans)
     sel = LanguageHandle.from_dfa(d)
     assert sel.distances[sel.dfa.start] == n - 2
-    g = ContextualGrammar(sel.alphabet, (SelectionPair(sel, (Context("a", ""),)),), ("a" * 10,))
-    assert list(_successors(g, "in", "a" * 10)) == []
-    assert [split for *_, split in _successors(g, "in", "a" * (n - 2))] == [(0, n - 2)]
+    # the context's b's mark where a step puts them
+    g = ContextualGrammar(AB, (SelectionPair(sel, (Context("b", "b"),)),), ("a" * 10,))
+    plan = _step_plan(g)
+    assert _successors(plan, "in", "a" * 10) == []
+    assert _successors(plan, "in", "a" * (n - 2)) == ["b" + "a" * (n - 2) + "b"]
+
+
+def test_accepted_words_stream_without_building_a_length_level():
+    # (a|b|c)* has 3^40 words of length 40; the first ones come at once
+    d = compile_regex("(a|b|c)*", Alphabet.of("abc"))
+    first = list(itertools.islice(accepted_words(d, 40), 13))
+    assert first == ["", "a", "b", "c", "aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc"]
+    with pytest.raises(InputError):
+        next(accepted_words(d, -1))
+    # a finite language ends the walk at its longest word, whatever the bound
+    assert list(accepted_words(compile_regex("ab|b", AB), 10**9)) == ["b", "ab"]
 
 
 def test_dfa_for_words_roundtrip():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import shlex
+import resource
 import subprocess
 import sys
 
@@ -360,6 +361,25 @@ def test_a_closed_stdout_ends_the_command_without_a_traceback():
     argv = [sys.executable, "-m", "sublang.cli", "enumerate", "--input", "regex:(a|b)*", "--max-len", "14"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
         assert proc.stdout.readline() == "_\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (1, "")
+
+
+def test_enumerate_prints_as_it_walks():
+    # 3^20 words in all: the first lines come at once, in bounded memory
+    src = os.path.dirname(os.path.dirname(sublang.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "sublang.cli", "enumerate", "--input", "regex:(a|b|c)*", "--max-len", "20"]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=limit_memory
+    ) as proc:
+        assert [proc.stdout.readline() for _ in range(5)] == ["_\n", "a\n", "b\n", "c\n", "aa\n"]
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=120)

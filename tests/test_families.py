@@ -324,6 +324,26 @@ def test_monoid_is_built_only_as_far_as_the_answer_needs(monkeypatch):
     assert m.elements == TransitionMonoid.from_dfa(chain).elements
 
 
+def test_monoid_len_reads_the_count_once_the_search_is_complete(monkeypatch):
+    chain = one_letter_chain(40)
+    monkeypatch.setattr(families, "_MONOID_CAP", 39)
+    m = TransitionMonoid(chain)
+    for _ in range(2):  # the cap holds for every call that needs element 40
+        with pytest.raises(InputError, match="transition monoid too large"):
+            len(m)
+    assert len(m.elements) == 39
+    monkeypatch.setattr(families, "_MONOID_CAP", 40)
+    m = TransitionMonoid(chain)
+    assert len(m) == 40
+
+    def no_walk(self):
+        raise AssertionError("len walked the monoid")
+
+    monkeypatch.setattr(TransitionMonoid, "__iter__", no_walk)
+    assert len(m) == 40
+    assert len(m) == 40
+
+
 def test_classify_walks_each_power_cycle_once(monkeypatch):
     # ORD, NC and PS read the power cycles of one shared monoid
     d = compile_regex("(a|b)*abb(a|b)*|ba*", AB)

@@ -16,7 +16,10 @@ their `generate` output was recorded before generation moved from a heap
 to length layers over one successor kernel.  The `enumerate`, `convert`
 and `compare` cases were recorded before determinization, products,
 distance pruning, cycle search and the window sets moved onto shared
-graph searches.
+graph searches.  `verify-all-porcelain` and the `generate` cases of
+`witness-kk2.cg` and `witness-dyck.cg` (the `kk(2)` and `dyck` witnesses
+written out by `formats.render_grammar`) were recorded before the
+successor kernel began to build and check each step in place.
 """
 
 import os
@@ -48,6 +51,7 @@ CASES.update(
         # ORD settles its only chain length, n = 11, by an orientation conflict
         "classify-regex-aababbb_b_or_a_b": ["classify", "--porcelain", "--input", "regex:aababbb(b|a)b"],
         "verify-all": ["verify", "--lemma", "all"],
+        "verify-all-porcelain": ["verify", "--lemma", "all", "--porcelain"],
         "enumerate-witness-l-abna-8": ["enumerate", "--input", "witness:l-abna", "--max-len", "8"],
         "enumerate-regex-ab_or_ba_star_a-7": [
             "enumerate",
@@ -71,7 +75,14 @@ CASES.update(
         ],
     }
 )
-for grammar, mode, max_len in (("dyck", "in", 10), ("dyck", "ex", 10), ("insertion", "in", 12)):
+GENERATE_CASES = (
+    ("dyck", "in", 10),
+    ("dyck", "ex", 10),
+    ("insertion", "in", 12),
+    ("witness-kk2", "in", 12),
+    ("witness-dyck", "in", 12),
+)
+for grammar, mode, max_len in GENERATE_CASES:
     CASES[f"generate-{grammar}-{mode}-{max_len}"] = [
         "generate",
         "--grammar",

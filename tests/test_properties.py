@@ -22,6 +22,7 @@ from sublang.automata import (
     InputError,
     MAX_WORD_SPACE,
     _renumber,
+    accepted_words,
     are_equivalent,
     coaccessible_states,
     complement,
@@ -54,6 +55,7 @@ from sublang.grammars import (
     LanguageHandle,
     SelectionPair,
     StepCapExceeded,
+    _step_plan,
     _successors,
     external_successors,
     generate_bounded,
@@ -390,6 +392,18 @@ def test_hopcroft_minimize_agrees_with_moore_on_window_automata(rep):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(("a", "ab", "abc")).map(Alphabet.of), st.booleans(), st.data())
+def test_accepted_words_agree_with_the_level_search(alphabet, minimal, data):
+    """The per-length depth-first walk yields the words of the former
+    level-by-level search, in its (length, lex) order, at every bound."""
+    d = data.draw(dfas(9, alphabet))
+    if minimal:
+        d = minimize(d)
+    for n in range(11 if len(alphabet) < 3 else 7):
+        assert list(accepted_words(d, n)) == graph_reference.enumerate_upto(d, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("a", "ab", "abc")).map(Alphabet.of), st.booleans(), st.data())
 def test_shared_graph_searches_agree_with_their_former_copies(alphabet, minimal, data):
     """The shared BFS numbering, cycle search, backward distance search and
     window rules give the automata, words, verdicts and window sets of the
@@ -516,5 +530,5 @@ def test_generation_agrees_with_heap_reference(g):
         ref_successors = getattr(generation_reference, successors.__name__)
         for w in words:
             assert successors(g, w) == ref_successors(g, w)
-            steps = [(y, (p_idx, ctx, split)) for y, p_idx, ctx, split in _successors(g, "in", w)]
-            assert steps == list(generation_reference._internal_steps(g, w))
+            steps = _successors(_step_plan(g), "in", w)
+            assert steps == [y for y, _ in generation_reference._internal_steps(g, w)]

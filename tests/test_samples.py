@@ -1,11 +1,11 @@
 import os
 
 from sublang.automata import Alphabet, are_equivalent
-from sublang.formats import parse_dfa_file, parse_grammar_file, parse_slt_file
+from sublang.formats import parse_dfa_file, parse_grammar_file, parse_slt_file, render_grammar
 from sublang.grammars import generate_bounded, grammar_is_valid, validate_grammar
 from sublang.regexes import compile_regex
 from sublang.slt import slt_to_dfa
-from sublang.witnesses import dyck_words_upto, ic32_oracle
+from sublang.witnesses import build_witness, dyck_words_upto, ic32_oracle
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -22,6 +22,13 @@ def test_sample_grammars_parse_and_generate():
     ins = parse_grammar_file(path("insertion.cg"))
     assert grammar_is_valid(validate_grammar(ins))
     assert generate_bounded(ins, "in", 8) == ic32_oracle(8)
+
+
+def test_witness_samples_are_the_rendered_witnesses():
+    # the golden `generate` cases of these files replay the witness grammars
+    for witness_id, name in (("kk(2)", "witness-kk2.cg"), ("dyck", "witness-dyck.cg")):
+        with open(path(name), encoding="utf-8") as fh:
+            assert fh.read() == render_grammar(build_witness(witness_id))
 
 
 def test_sample_slt_file():
