@@ -352,10 +352,22 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     to those that can pass: at s == room + 1 only z == head, and only if
     trans[head][i] == tail; at s == room only z == head or a z with
     trans[z][i] == tail.  When exactly room + 1 labels are still unused,
-    a used label leaves the child too few positions, and the child would
-    prune it on entry.  The filter keeps every label that can pass (it
-    may keep more; the room test below still decides), so it skips only
-    trials that find nothing.
+    a used label leaves the child too few positions, and the position
+    bound would prune it.  The filter keeps every label that can pass (it
+    may keep more; the position bound below still decides), so it skips
+    only trials that find nothing.
+
+    Position bound: a child is entered only if, for every letter, the
+    queue's length plus the labels neither placed nor pending in it
+    (`rest & ~waits`, with `waits` the queue's labels as a bit set) fits
+    in `room`.  Queue labels need strictly increasing later positions
+    (neighbours differ and the matching is monotone), and each label not
+    yet placed needs a later position of its own, which holds no queue
+    label unless it is pending.  So the bound prunes only subtrees that
+    hold no cover.  Since len(queue) >= popcount(waits), it also keeps
+    every unused label within reach of the positions left, so a node
+    (for any length >= n over a non-empty alphabet) needs no such check
+    of its own.
 
     The labels tried, their order and each decrement of `node_budget` are
     part of the output contract: a search that runs out of budget is
@@ -363,7 +375,12 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     Every label still costs one unit, in increasing order: before trying
     z the node charges z and the skipped labels below it, and on failure
     it charges the rest.  Once the budget is spent every later trial
-    would fail, so the node stops and charges the rest in bulk too.
+    would fail, so the node stops and charges the rest in bulk too.  A
+    pruned child costs nothing beyond its label's unit, so the search
+    finds the same first cover as it would without the position bound
+    and has spent no more budget at any point; its outcome differs only
+    where the search without the bound runs out of budget, and there it
+    may finish instead.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
@@ -375,20 +392,18 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
         for i, q in enumerate(trans[z]):
             pre[i][q] |= 1 << z
     labels: list[int] = []
-    # per letter: (match-from position, pending image labels, collapsed)
-    pend: list[tuple[int, tuple[int, ...]]] = [(0, ()) for _ in range(n_sym)]
+    # per letter: (match-from position, pending image labels, collapsed,
+    # and their bit set)
+    pend: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0) for _ in range(n_sym)]
 
     def place(depth: int, used: int) -> bool:
         # used: bit set of the labels in `labels`
         if node_budget[0] <= 0:
             return False
         if depth == length:
-            return used == every and not any(queue for _, queue in pend)
+            return used == every and not any(queue for _, queue, _ in pend)
         room = length - depth - 1
-        missing = n - used.bit_count()
-        if missing > room + 1:
-            return False
-        passing = every & ~used if missing == room + 1 else every
+        passing = every & ~used if n - used.bit_count() == room + 1 else every
         for i in range(n_sym):
             queue = pend[i][1]
             if len(queue) == room + 1:
@@ -408,27 +423,34 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
             labels.append(z)
             saved = pend[:]
             row = trans[z]
+            rest = every & ~(used | bit)
             ok = True
             for i in range(n_sym):
-                last, queue = pend[i]
+                last, queue, waits = pend[i]
                 x = row[i]
                 if queue:
                     if queue[-1] != x:
                         queue += (x,)
+                        waits |= 1 << x
                     # by the invariant, only the new label can match the head
                     if queue[0] == z:
                         last = depth
                         queue = queue[1:]
+                        if z not in queue:
+                            waits ^= bit
                 else:
                     # leftmost-greedy: the first x at or after `last`
                     try:
                         last = labels.index(x, last)
                     except ValueError:
                         queue = (x,)
-                if len(queue) > room:
+                        waits = 1 << x
+                # position bound: each pending label, and each unused label
+                # not pending, needs a later position of its own
+                if len(queue) + (rest & ~waits).bit_count() > room:
                     ok = False
                     break
-                pend[i] = (last, queue)
+                pend[i] = (last, queue, waits)
             if ok and place(depth + 1, used | bit):
                 return True
             labels.pop()
@@ -531,7 +553,11 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     "No" is exact only via aperiodicity (ordered automata have aperiodic
     transition monoids); otherwise a failed search is reported as a
     bounded unknown, whose evidence calls the minimal automaton
-    unorderable only when length n was searched in full.
+    unorderable only when length n was searched in full.  The search's
+    position bound (see `_find_monotone_cover`) leaves every search that
+    ends with budget left as it was; only a search that would run out
+    of budget without it can finish instead, with a cover or with
+    `no ordered automaton with <= bound states`.
     """
     dm = minimize(d)
     nc = is_noncounting(dm, monoid)

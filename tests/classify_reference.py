@@ -8,7 +8,10 @@ bookkeeping and `str.translate`; they must visit the same nodes in the
 same order, so labels, remaining node budget, monoid elements, words and
 cap exits all agree exactly.  (The package's cover search settles the
 labels a node rules out, and those left once the budget is spent,
-without running them, but charges each one as this search does.)
+without running them, but charges each one as this search does.)  Both
+searches prune a child by the same position bound, computed here with
+sets.  `cover_search_without_position_bound` is the package's search
+from before that bound, kept verbatim as the bound's own oracle.
 
 `is_noncounting`, `is_power_separating` and `is_orderable` below are the
 eager routes: they build the whole monoid before looking at it, and ORD
@@ -38,6 +41,10 @@ def find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     labels embeds into the chain as a monotone (non-decreasing) position
     map; leftmost-greedy matching decides that and is restored on
     backtracking.  Returns the labeling or None.
+
+    A child is pruned when some letter's pending labels plus the labels
+    neither placed nor pending outnumber the positions left: each of them
+    needs a later position of its own.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
@@ -85,7 +92,10 @@ def find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
                         break
                     last = pos
                     queue = queue[1:]
-                if collapsed_len(queue) > length - depth - 1:
+                # every pending label, and every label not yet placed and
+                # not pending, needs a chain position after this one
+                unplaced = set(range(n)) - set(labels)
+                if collapsed_len(queue) + len(unplaced - set(queue)) > length - depth - 1:
                     ok = False
                     break
                 pend[i] = (last, queue)
@@ -96,6 +106,121 @@ def find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
         return False
 
     if place(0):
+        return tuple(labels)
+    return None
+
+
+# The package's cover search as it was before the position bound, kept
+# verbatim as the oracle for that bound: wherever this search ends with
+# budget left, the bounded one must find the same labels and spend no more.
+def cover_search_without_position_bound(dm: Dfa, length: int, node_budget: list[int]):
+    """Search a chain of `length` states labeled by dm's states such that
+    every letter map lifts to a monotone map on chain positions.
+
+    A chain labeling works iff, for every letter, the sequence of image
+    labels embeds into the chain as a monotone (non-decreasing) position
+    map; leftmost-greedy matching decides that and is restored on
+    backtracking.  Returns the labeling or None.
+
+    Per letter the search keeps `last`, the position the next image label
+    is matched from, and the pending image labels not yet matched, with
+    repeats collapsed (equal neighbours always match at one position), so
+    the pending queue's length is the number of chain positions it still
+    needs.  Invariant: the head of a non-empty pending queue occurs
+    nowhere in labels[last:], so a new label z can only match that head,
+    and only when z equals it.
+
+    Appending z to a queue of length s therefore gives length
+    s + (trans[z][i] != tail) - (z == head), which must not exceed `room`,
+    the positions left after this one.  Each node first narrows the labels
+    to those that can pass: at s == room + 1 only z == head, and only if
+    trans[head][i] == tail; at s == room only z == head or a z with
+    trans[z][i] == tail.  When exactly room + 1 labels are still unused,
+    a used label leaves the child too few positions, and the child would
+    prune it on entry.  The filter keeps every label that can pass (it
+    may keep more; the room test below still decides), so it skips only
+    trials that find nothing.
+
+    The labels tried, their order and each decrement of `node_budget` are
+    part of the output contract: a search that runs out of budget is
+    reported as a bounded unknown, so a change to either changes verdicts.
+    Every label still costs one unit, in increasing order: before trying
+    z the node charges z and the skipped labels below it, and on failure
+    it charges the rest.  Once the budget is spent every later trial
+    would fail, so the node stops and charges the rest in bulk too.
+    """
+    n = dm.n_states
+    n_sym = len(dm.alphabet)
+    trans = dm.transitions
+    every = (1 << n) - 1
+    # pre[i][q]: bit set of the labels z with trans[z][i] == q
+    pre = [[0] * n for _ in range(n_sym)]
+    for z in range(n):
+        for i, q in enumerate(trans[z]):
+            pre[i][q] |= 1 << z
+    labels: list[int] = []
+    # per letter: (match-from position, pending image labels, collapsed)
+    pend: list[tuple[int, tuple[int, ...]]] = [(0, ()) for _ in range(n_sym)]
+
+    def place(depth: int, used: int) -> bool:
+        # used: bit set of the labels in `labels`
+        if node_budget[0] <= 0:
+            return False
+        if depth == length:
+            return used == every and not any(queue for _, queue in pend)
+        room = length - depth - 1
+        missing = n - used.bit_count()
+        if missing > room + 1:
+            return False
+        passing = every & ~used if missing == room + 1 else every
+        for i in range(n_sym):
+            queue = pend[i][1]
+            if len(queue) == room + 1:
+                head = queue[0]
+                passing &= 1 << head if trans[head][i] == queue[-1] else 0
+            elif queue and len(queue) == room:
+                passing &= pre[i][queue[-1]] | 1 << queue[0]
+        tried = 0
+        while passing:
+            bit = passing & -passing
+            passing ^= bit
+            z = bit.bit_length() - 1
+            node_budget[0] -= z - tried + 1
+            tried = z + 1
+            if node_budget[0] <= 0:
+                break
+            labels.append(z)
+            saved = pend[:]
+            row = trans[z]
+            ok = True
+            for i in range(n_sym):
+                last, queue = pend[i]
+                x = row[i]
+                if queue:
+                    if queue[-1] != x:
+                        queue += (x,)
+                    # by the invariant, only the new label can match the head
+                    if queue[0] == z:
+                        last = depth
+                        queue = queue[1:]
+                else:
+                    # leftmost-greedy: the first x at or after `last`
+                    try:
+                        last = labels.index(x, last)
+                    except ValueError:
+                        queue = (x,)
+                if len(queue) > room:
+                    ok = False
+                    break
+                pend[i] = (last, queue)
+            if ok and place(depth + 1, used | bit):
+                return True
+            labels.pop()
+            pend[:] = saved
+        node_budget[0] -= n - tried
+        return False
+
+    if place(0, 0):
         return tuple(labels)
     return None
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import time
 
@@ -40,6 +41,7 @@ from sublang.families import (
     is_suffix_closed,
     verify_order,
 )
+from sublang.formats import parse_slt_file
 from sublang.regexes import compile_regex, parse_regex
 from sublang.slt import slt_to_dfa
 from sublang.witnesses import ic35_table_dfa
@@ -176,6 +178,27 @@ def test_cover_search_stops_once_the_budget_is_spent():
     assert _find_monotone_cover(chain, 1200, nodes) is None
     assert time.perf_counter() - start < 0.5
     assert nodes == [-672_800]
+
+
+def test_ord_on_the_prefix_suffix_sample_ends_with_budget_left(monkeypatch):
+    """An orientation conflict settles length 8, and the position bound lets
+    the search at length 9 end after an exact number of label trials; it
+    ran out of its whole budget without the bound."""
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", "prefix-suffix-abc.slt")
+    dm = minimize(slt_to_dfa(parse_slt_file(path)))
+    assert dm.n_states == 8 and _orientation_conflict(dm)
+    searched = []
+
+    def recording(dm, length, nodes):
+        labels = _find_monotone_cover(dm, length, nodes)
+        searched.append((length, labels, nodes[0]))
+        return labels
+
+    monkeypatch.setattr(families, "_find_monotone_cover", recording)
+    assert is_orderable(dm) == Verdict(
+        "unknown", bound=9, evidence="no ordered automaton with <= 9 states; minimal automaton unorderable"
+    )
+    assert searched == [(9, None, _COVER_NODE_BUDGET - 16_712)]
 
 
 def test_is_orderable_certificates_verify(corpus):

@@ -5,12 +5,13 @@ Each case runs `sublang.cli.main` in process and compares stdout with
 families moved from NFA subset construction to walks on the DFA, and
 before the transition monoid and the ORD cover search got their faster
 inner loops, so they hold the verdicts, evidence strings and report
-layout those changes kept.  `prefix-suffix-abc.slt` (recorded before the
-cover search filtered labels per node) runs ORD out of its node budget
-over three letters, so it pins the budget accounting there.  The ORD row
-of `regex:aababbb(b|a)b` was re-recorded when an orientation conflict
-began to settle chain length n: it read `search budget exhausted` before,
-with the same verdict and bound.
+layout those changes kept.  The ORD rows of two inputs were re-recorded
+where a search that had run out of its node budget began to finish, with
+the same verdict and bound: each read `search budget exhausted` before.
+For `regex:aababbb(b|a)b` an orientation conflict began to settle chain
+length n; for `prefix-suffix-abc.slt` the cover search's position bound
+let the search at length 9 end with budget left.  The budget accounting
+of that search is pinned by an exact trial count in `test_families.py`.
 The grammar samples (`*.cg`) are not languages and have no classify report;
 their `generate` output was recorded before generation moved from a heap
 to length layers over one successor kernel.  The `enumerate`, `convert`

@@ -39,6 +39,7 @@ from sublang.automata import (
 from sublang.families import (
     FAMILY_BASE_ORDER,
     TransitionMonoid,
+    _cover_to_dfa,
     _find_monotone_cover,
     _orientation_conflict,
     _power_cycle,
@@ -48,6 +49,7 @@ from sublang.families import (
     is_commutative,
     is_definite,
     is_suffix_closed,
+    verify_order,
 )
 from sublang.grammars import (
     Context,
@@ -128,8 +130,11 @@ KERNEL_DFAS = st.one_of(*(dfas(7, Alphabet.of(symbols)) for symbols in ("a", "ab
 def window_set_dfas(draw):
     """Minimal DFAs of window-set languages: k=2 over ab or abc, k=3 over ab
     (k=3 over abc gives more than 16 states).  Their cover searches fill
-    pending queues up to the room left and run out of budget, so they
-    reach every branch of the per-node label filter."""
+    pending queues up to the room left, so they reach every branch of the
+    per-node label filter (a queue of room + 1 with and without a passing
+    head, a queue of room, the narrowing to unused labels) and the
+    position bound's prune, each hundreds of times or more over the
+    cover-search properties below."""
     symbols, k = draw(st.sampled_from([("ab", 2), ("ab", 3), ("abc", 2)]))
     windows = ["".join(w) for w in itertools.product(symbols, repeat=k)]
     shorter = ["".join(w) for m in range(k) for w in itertools.product(symbols, repeat=m)]
@@ -174,9 +179,30 @@ def test_cover_search_agrees_with_reference(d):
 @given(window_set_dfas())
 def test_cover_search_agrees_with_reference_on_window_sets(dm):
     """The same agreement on the inputs whose searches the per-node label
-    filter prunes hardest, with budgets that run out deep in the search."""
+    filter prunes hardest.  Most of these searches end with budget left;
+    budget 1000 runs out deep in a few of them."""
     assert dm.n_states <= 16
-    assert_cover_search_agrees(dm, (5000, 40000))
+    assert_cover_search_agrees(dm, (1000, 5000, 40000))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(KERNEL_DFAS.map(minimize), window_set_dfas()))
+def test_position_bound_keeps_every_completed_search(dm):
+    """Wherever the cover search without the position bound ends with budget
+    left, the bounded search returns the same labels (the first cover in
+    the same depth-first order, or None) and spends no more trials: the
+    bound prunes only subtrees that hold no cover."""
+    for length in range(dm.n_states, max(dm.n_states, 2 * len(dm.alphabet) + 3) + 1):
+        old, new = [40000], [40000]
+        want = classify_reference.cover_search_without_position_bound(dm, length, old)
+        labels = _find_monotone_cover(dm, length, new)
+        if old[0] > 0:
+            assert labels == want
+            assert new[0] >= old[0]
+        elif labels is not None:
+            # found where the search without the bound ran out
+            cover = _cover_to_dfa(dm, labels)
+            assert verify_order(cover, range(length)) and are_equivalent(cover, dm).equal
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
