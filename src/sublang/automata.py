@@ -298,22 +298,15 @@ def reachable_states(d: Dfa) -> set[int]:
     return set(explore(d.start, lambda q, i: trans[q][i], len(d.alphabet))[0])
 
 
-def _renumber(d: Dfa, minimal: bool = False) -> Dfa:
-    """Canonical state numbering: BFS from the start in alphabet order."""
-    trans = d.transitions
-    old, rows = explore(d.start, lambda q, i: trans[q][i], len(d.alphabet))
-    accepting = frozenset(j for j, q in enumerate(old) if q in d.accepting)
-    return Dfa(d.alphabet, len(old), 0, accepting, tuple(rows), minimal)
-
-
 def minimize(d: Dfa) -> Dfa:
     """Language-equivalent minimal complete DFA with canonical numbering.
 
     Hopcroft's partition refinement (1971) on the reachable part: a
     splitter (block, symbol) splits every block that its predecessors cut,
     and of the two halves of a split block only the smaller one need be
-    queued as a new splitter, so the work is O(n |V| log n).  The classes
-    are then numbered by `_renumber`, which makes the result unique.
+    queued as a new splitter, so the work is O(n |V| log n).  `explore`
+    then numbers the blocks breadth-first from the start block, in alphabet
+    order, which makes the result unique.
     Idempotent: minimize(minimize(d)) == minimize(d) exactly.
     """
     if d.minimal:
@@ -364,9 +357,10 @@ def minimize(d: Dfa) -> Dfa:
                 work.append(split)
 
     # the states of a block agree on every move, so any one stands for it
-    rows = tuple(tuple(cls[t] for t in trans[next(iter(b))]) for b in blocks)
-    merged = Dfa(d.alphabet, len(blocks), cls[0], frozenset(cls[q] for q in acc), rows)
-    return _renumber(merged, minimal=True)
+    rep = [next(iter(b)) for b in blocks]
+    order, rows = explore(cls[0], lambda b, i: cls[trans[rep[b]][i]], n_sym)
+    accepting = frozenset(j for j, b in enumerate(order) if rep[b] in acc)
+    return Dfa(d.alphabet, len(order), 0, accepting, tuple(rows), minimal=True)
 
 
 def _require_same_alphabet(l1: Dfa, l2: Dfa) -> None:

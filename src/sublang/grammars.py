@@ -380,11 +380,11 @@ def compare_bounded(left: BoundedSource, right: BoundedSource, max_len: int) -> 
         )
     lw = bounded_words(left, max_len)
     rw = bounded_words(right, max_len)
-    alpha = la or ra
+    alpha = la if la is not None else ra
     if alpha is not None:
         stray = next((w for w in (rw if la is not None else lw) if not alpha.covers(w)), None)
         if stray is not None:
             raise InputError(f"alphabet mismatch: {stray!r} is not a word over {''.join(alpha.symbols)!r}")
     lw, rw = set(lw), set(rw)
-    sort = alpha.sort_words if alpha else (lambda ws: sorted(ws, key=lambda w: (len(w), w)))
+    sort = alpha.sort_words if alpha is not None else (lambda ws: sorted(ws, key=lambda w: (len(w), w)))
     return CompareReport(max_len, tuple(sort(lw - rw)), tuple(sort(rw - lw)))

@@ -108,9 +108,11 @@ def slt_membership(rep: SltRep, word: str) -> bool:
 # Window-automaton nodes: (u, _SHORT) after a short word u (|u| < k);
 # (w, _FIRST) after exactly k symbols, w being the prefix window; (w, _LATER)
 # after more than k symbols, w being the last window; _DEAD once no
-# extension can be accepted.
+# extension can be accepted.  The start is ("", _SHORT).  `_window_moves`
+# gives the moves and the acceptance test of the nodes, which `explore` and
+# `least_word` walk as an implicit graph.
 _SHORT, _FIRST, _LATER = 0, 1, 2
-_DEAD = ("", -1)
+_DEAD = None
 
 
 class _RepWindows:
@@ -127,65 +129,48 @@ class _RepWindows:
         self.live = live.__contains__
 
 
-class _WindowAutomaton:
-    """The sliding-window automaton of a window-set language, numbered as
-    it is explored: node 0 is the dead sink and node 1 the start.  `step`
-    builds each move on first use from the membership tests of `sets`."""
+def _window_moves(k: int, alphabet: Alphabet, sets):
+    """(step, accepts) of the window automaton whose windows `sets` tests:
+    `step(node, i)` is the node that symbol i leads to, and `accepts(node)`
+    whether the word read so far is in the language."""
+    symbols = alphabet.symbols
 
-    def __init__(self, k: int, alphabet: Alphabet, sets) -> None:
-        self._k = k
-        self._symbols = alphabet.symbols
-        self._sets = sets
-        self._index = {_DEAD: 0}
-        self.nodes = [_DEAD]
-        self.rows: list[list[int | None]] = [[0] * len(alphabet)]
-        self.accepting = [False]
-        self.start = self._add(("", _SHORT))
-
-    def _add(self, node: tuple[str, int]) -> int:
-        q = self._index[node] = len(self.nodes)
-        self.nodes.append(node)
-        self.rows.append([None] * len(self._symbols))
-        w, kind = node
-        self.accepting.append(self._sets.short(w) if kind == _SHORT else self._sets.suffix(w))
-        return q
-
-    def step(self, q: int, i: int) -> int:
-        t = self.rows[q][i]
-        if t is None:
-            node = self._successor(self.nodes[q], self._symbols[i])
-            t = self._index.get(node)
-            if t is None:
-                t = self._add(node)
-            self.rows[q][i] = t
-        return t
-
-    def _successor(self, node: tuple[str, int], a: str) -> tuple[str, int]:
-        sets = self._sets
+    def step(node: tuple[str, int] | None, i: int) -> tuple[str, int] | None:
+        if node is _DEAD:
+            return _DEAD
         w, kind = node
         if kind == _SHORT:
-            w += a
-            if len(w) < self._k:
+            w += symbols[i]
+            if len(w) < k:
                 return (w, _SHORT) if sets.live(w) else _DEAD
             return (w, _FIRST) if sets.prefix(w) else _DEAD
         # the window w now has a symbol on each side, so it is interior
         if kind == _LATER and not sets.interior(w):
             return _DEAD
-        return (w[1:] + a, _LATER)
+        return (w[1:] + symbols[i], _LATER)
+
+    def accepts(node: tuple[str, int] | None) -> bool:
+        if node is _DEAD:
+            return False
+        w, kind = node
+        return sets.short(w) if kind == _SHORT else sets.suffix(w)
+
+    return step, accepts
 
 
 def slt_to_dfa(rep: SltRep) -> Dfa:
     """Minimal DFA accepting exactly the represented language.
 
-    Sliding-window construction: a state is a short word, or the most
-    recent window plus whether that window is still the word's own prefix.
-    Short words that begin no short word and no prefix window go straight
-    to the dead state.
+    Sliding-window construction: `explore` numbers the window-automaton
+    nodes reachable from ("", _SHORT), where a node is a short word, or the
+    most recent window plus whether that window is still the word's own
+    prefix.  Short words that begin no short word and no prefix window go
+    straight to the dead node.
     """
     check_window_space(rep.alphabet, rep.k)
-    auto = _WindowAutomaton(rep.k, rep.alphabet, _RepWindows(rep))
-    nodes, rows = explore(auto.start, auto.step, len(rep.alphabet))
-    accepting = frozenset(j for j, q in enumerate(nodes) if auto.accepting[q])
+    step, accepts = _window_moves(rep.k, rep.alphabet, _RepWindows(rep))
+    nodes, rows = explore(("", _SHORT), step, len(rep.alphabet))
+    accepting = frozenset(j for j, node in enumerate(nodes) if accepts(node))
     return minimize(Dfa(rep.alphabet, len(nodes), 0, accepting, tuple(rows)))
 
 
@@ -213,23 +198,24 @@ def is_slt_k(d: Dfa, k: int) -> SltKResult:
     """Exact decision of strict local k-testability.
 
     L is k-testable iff it equals the language of its canonical window sets
-    (`canonical_rep`).  One length-lex walk over pairs (window-automaton
-    node, state of d) compares the two, reading the window sets off d as it
-    goes, so a "no" visits only the words up to its witness: the length-lex
-    least word in the symmetric difference, as `are_equivalent` names it.
+    (`canonical_rep`).  One `least_word` walk over pairs (window-automaton
+    node, state of d), from (("", _SHORT), start), compares the two, reading
+    the window sets off d as it goes, so a "no" visits only the words up to
+    its witness: the length-lex least word in the symmetric difference, as
+    `are_equivalent` names it.
     Only a "yes" builds the canonical sets, and it checks them once more
     through `slt_to_dfa` and `are_equivalent`.
     """
     if k < 1:
         raise InputError("window length must be >= 1")
     check_window_space(d.alphabet, k)
-    auto = _WindowAutomaton(k, d.alphabet, LanguageWindows(d))
+    step, accepts = _window_moves(k, d.alphabet, LanguageWindows(d))
     trans, accepting = d.transitions, d.accepting
     witness = least_word(
         d.alphabet.symbols,
-        [(auto.start, d.start)],
-        lambda pair, i: ((auto.step(pair[0], i), trans[pair[1]][i]),),
-        lambda pair: auto.accepting[pair[0]] != (pair[1] in accepting),
+        [(("", _SHORT), d.start)],
+        lambda pair, i: ((step(pair[0], i), trans[pair[1]][i]),),
+        lambda pair: accepts(pair[0]) != (pair[1] in accepting),
     )
     if witness is not None:
         return SltKResult(False, None, witness)

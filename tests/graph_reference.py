@@ -8,7 +8,9 @@ rebuilds a cycle word, `coaccessible_states` and `enumerate_upto` each run
 a backward search over reversed edges, and `factor_sets` recurses over the
 windows with its own reach, coacc, reach+ and coacc+.  The package shares
 one implementation of each search; these copies check that every automaton,
-word, verdict and window set stays the same.
+word, verdict and window set stays the same.  `_renumber` also numbers the
+classes of the Moore reference in `slt_reference`, so that reference shares
+no code with the package's `minimize`.
 """
 
 from __future__ import annotations

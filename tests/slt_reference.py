@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 
+from graph_reference import _renumber
+
 from sublang.automata import (
     Dfa,
     InputError,
     MAX_WORD_SPACE,
-    _renumber,
     are_equivalent,
     reachable_states,
 )

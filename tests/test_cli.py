@@ -232,17 +232,28 @@ SAMPLE_DYCK = os.path.join(os.path.dirname(__file__), "..", "samples", "dyck.cg"
 
 
 def test_compare_rejects_oracle_words_outside_the_grammar_alphabet(capsys):
-    # the oracle has no alphabet of its own; its words must be over the grammar's
+    # the oracle has no alphabet of its own; its words must be over the other
+    # side's, and an empty alphabet is still an alphabet
+    cases = [
+        (
+            ["--left", f"grammar-in:{SAMPLE_DYCK}", "--right", "oracle:l-ic-32", "--max-len", "4"],
+            "'ab' is not a word over 'cd'",
+        ),
+        (
+            ["--left", "regex:_", "--right", "oracle:dyck", "--alphabet", "", "--max-len", "2"],
+            "'cd' is not a word over ''",
+        ),
+    ]
+    for args, message in cases:
+        code, out, err = run(capsys, "compare", *args)
+        assert (code, out, err) == (2, "", f"error: alphabet mismatch: {message}\n"), args
+
+
+def test_compare_over_the_empty_alphabet(capsys):
     code, out, err = run(
-        capsys,
-        "compare",
-        "--left", f"grammar-in:{SAMPLE_DYCK}",
-        "--right", "oracle:l-ic-32",
-        "--max-len", "4",
+        capsys, "compare", "--left", "regex:_", "--right", "regex:_", "--alphabet", "", "--max-len", "2"
     )
-    assert code == 2
-    assert out == ""
-    assert err == "error: alphabet mismatch: 'ab' is not a word over 'cd'\n"
+    assert (code, out, err) == (0, "equal up to length 2\n", "")
 
 
 def test_compare_accepts_an_oracle_over_the_grammar_alphabet(capsys):
@@ -399,6 +410,22 @@ def test_the_readme_command_lines_run(capsys, monkeypatch):
     for line in lines:
         code, _, err = run(capsys, *shlex.split(line)[1:])
         assert code in (0, 1) and err == "", line
+
+
+def test_the_readme_library_block_runs():
+    """The python block of the README's "Library" section prints a report
+    that ends in the SLT row, then the Dyck words up to length 8."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("FIN ")
+    assert lines[-2] == "SLT yes [k=1]"
+    assert lines[-1].startswith("['', 'cd', 'ccdd', 'cdcd', ")
 
 
 def test_verify_porcelain(capsys):

@@ -21,7 +21,6 @@ from sublang.automata import (
     Dfa,
     InputError,
     MAX_WORD_SPACE,
-    _renumber,
     accepted_words,
     are_equivalent,
     coaccessible_states,
@@ -306,6 +305,7 @@ def window_reps(draw, symbols: str = "ab"):
 @given(window_reps())
 def test_random_rep_membership_agrees_with_compiled_dfa(rep):
     d = slt_to_dfa(rep)
+    assert d == slt_reference.slt_to_dfa(rep)
     for w in brute_accepted(complement(d), 6) + enumerate_upto(d, 6):
         assert d.accepts(w) == slt_membership(rep, w), (rep, w)
 
@@ -314,6 +314,7 @@ def test_random_rep_membership_agrees_with_compiled_dfa(rep):
 @given(window_reps(symbols="abc"))
 def test_random_rep_three_letters(rep):
     d = slt_to_dfa(rep)
+    assert d == slt_reference.slt_to_dfa(rep)
     for w in enumerate_upto(d, 5):
         assert slt_membership(rep, w)
     for w in brute_accepted(complement(d), 4):
@@ -441,7 +442,6 @@ def test_shared_graph_searches_agree_with_their_former_copies(alphabet, minimal,
         d1, d2 = minimize(d1), minimize(d2)
     finite = dfa_for_words(alphabet, data.draw(st.lists(st.text("".join(alphabet), max_size=7), max_size=5)))
     for d in (d1, d2, finite):
-        assert _renumber(d) == graph_reference._renumber(d)
         assert coaccessible_states(d) == graph_reference.coaccessible_states(d)
         assert enumerate_upto(d, 7) == graph_reference.enumerate_upto(d, 7)
         assert find_pump(d) == graph_reference.find_pump(d)
