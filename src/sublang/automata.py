@@ -424,33 +424,55 @@ def enumerate_upto(d: Dfa, n: int) -> list[str]:
     return list(accepted_words(d, n))
 
 
+# the most live prefixes of one length that the level search holds
+_LEVEL_CAP = 1 << 12
+
+
 def accepted_words(d: Dfa, n: int) -> Iterator[str]:
     """The accepted words of length <= n, one at a time in (length, lex) order.
 
-    One depth-first walk per length takes symbols in alphabet order and
-    extends a prefix only where some word of exactly the letters left
-    leads its state to acceptance, so every prefix it builds begins a
-    word of that length, and it holds one path of the walk with its
-    siblings, not a whole length level.  Once no state accepts in exactly
-    r letters, none does in more, so the walk ends there.
+    A level search goes first: it holds every prefix of one length that
+    some word of at most the letters left leads to acceptance, in lex
+    order, yields the accepted ones and extends them in alphabet order, so
+    a sparse language costs one step per live prefix.  Once the next level
+    would hold more than `_LEVEL_CAP` prefixes, the last level becomes the
+    frontier of one depth-first walk per length: it takes symbols in
+    alphabet order and extends a prefix only where some word of exactly
+    the letters left leads its state to acceptance, so it holds one path
+    of the walk with its siblings, not a whole length level.  Once no
+    state accepts in exactly r letters, none does in more, so the walk
+    ends there.
     """
     if n < 0:
         raise InputError("length bound must be >= 0")
     moves = [list(zip(d.alphabet.symbols, row)) for row in d.transitions]
+    # the fewest letters from each state to acceptance; n + 1 for none
+    near = [n + 1 if r is None else r for r in accept_distances(d)]
+    level = [("", d.start)] if near[d.start] <= n else []
+    base = 0  # the length of the words of level
+    while level:
+        for w, q in level:
+            if not near[q]:
+                yield w
+        if base == n:
+            return
+        room = n - base - 1
+        grown = [(w + a, t) for w, q in level for a, t in moves[q] if near[t] <= room]
+        if len(grown) > _LEVEL_CAP:
+            break
+        level = grown
+        base += 1
     # last symbol first, so the stack pops them in order
     pushes = [m[::-1] for m in moves]
     # ends[r][q]: some word of exactly r letters leads q to acceptance
-    ends = [[q in d.accepting for q in range(d.n_states)]]
-    if ends[0][d.start]:
-        yield ""
-    for length in range(1, n + 1):
+    ends = [[not r for r in near]]
+    for length in range(base + 1, n + 1):
         last = ends[-1]
         ends.append([any(last[t] for t in row) for row in d.transitions])
-        if not any(ends[length]):
+        live = ends[length - base]
+        if not any(live):
             return
-        if not ends[length][d.start]:
-            continue
-        stack = [("", d.start)]
+        stack = [(w, q) for w, q in reversed(level) if live[q]]
         while stack:
             w, q = stack.pop()
             left = length - len(w) - 1

@@ -3,10 +3,11 @@
 External derivation wraps a context around the whole word when the word
 belongs to a pair's selection language; internal derivation wraps it
 around any subword belonging to the selection language.  One successor
-kernel builds (and, if asked, checks) the steps of a word as a list of
-words, reading each pair through a plan built once per call; generation
-is a closure over it by length layers, because every kept step strictly
-lengthens the word, so a length bound makes it exhaustive.
+kernel builds the steps of a word within a length bound (and, if asked,
+checks every step) as a list of words, reading each pair through a plan
+built once per call; generation is a closure over it by length layers,
+because every kept step strictly lengthens the word, so a length bound
+makes it exhaustive.
 """
 
 from __future__ import annotations
@@ -168,15 +169,18 @@ def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
 def _step_plan(g: ContextualGrammar) -> list[tuple]:
     """What the successor kernel reads of each pair, as plain tuples.
 
-    Per pair: the non-empty contexts as (left, right, len(left)), each
-    subset of them by room left under a length bound (None: all), the
-    selector's membership test, transitions, distances, start and symbol
-    index, and a membership memo keyed by the subword.  Empty contexts
-    are dropped as self-loops, so every step strictly lengthens the word.
+    Per pair: the non-empty contexts as (left, right, len(left),
+    len(left) + len(right)), each subset of them by room left under a
+    length bound (None: all), the selector's membership test,
+    transitions, distances, start and symbol index, and a membership memo
+    keyed by the subword.  Empty contexts are dropped as self-loops, so
+    every step strictly lengthens the word.
     """
     plan = []
     for pair in g.pairs:
-        contexts = tuple((c.left, c.right, len(c.left)) for c in pair.contexts if not c.is_empty)
+        contexts = tuple(
+            (c.left, c.right, len(c.left), len(c.left) + len(c.right)) for c in pair.contexts if not c.is_empty
+        )
         sel = pair.selector
         dfa = sel.dfa
         plan.append((
@@ -189,13 +193,21 @@ def _step_plan(g: ContextualGrammar) -> list[tuple]:
 def _successors(
     plan: list[tuple], mode: str, word: str, limit: int | None = None, check: bool = False
 ) -> list[str]:
-    """Every one-step derivation of word, in (pair, split, context) order.
+    """Every one-step derivation of word within limit, in (pair, split, context) order.
 
     Given a limit, contexts that would make a step longer than it are
-    dropped, and a pair with none left is not scanned.  With check on,
-    each step is checked as it is built: it must lengthen word, and in
-    internal mode the step's own slice at the shifted split must still
-    be selected (decided once per pair and subword).
+    dropped, and without check a pair with none left is not scanned.
+    With check on, every step is checked in that order, also those past
+    the limit: it must lengthen word, and in internal mode the step's own
+    slice at the shifted split must still be selected (decided once per
+    pair and subword).  Only the steps within the limit are built; the
+    checks of a step past it follow from its parts, so it is not built:
+    it is len(word) + len(left) + len(right) > limit >= len(word) long,
+    and its slice is the selected subword itself.  In external mode that
+    leaves nothing to decide; in internal mode each selected subword is
+    decided at the step's own place, so a pair whose every step is past
+    the limit is still scanned, and the same subwords are decided and the
+    same error raised as if every step were built.
     """
     n = len(word)
     room = None if limit is None else limit - n
@@ -203,16 +215,18 @@ def _successors(
     for by_room, contains, trans, dist, start, index, selected in plan:
         contexts = by_room.get(room)
         if contexts is None:
-            contexts = by_room[room] = tuple(c for c in by_room[None] if len(c[0]) + len(c[1]) <= room)
-        if not contexts:
-            continue
+            contexts = by_room[room] = tuple(c for c in by_room[None] if c[3] <= room)
         if mode == "ex":
-            if contains(word):
-                for left, right, _ in contexts:
+            if contexts and contains(word):
+                for left, right, _, _ in contexts:
                     y = left + word + right
                     if check and len(y) <= n:
                         raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
                     out.append(y)
+            continue
+        if check:
+            contexts = by_room[None]  # steps past the limit are checked too
+        if not contexts:
             continue
         # None marks a foreign symbol for this selector's alphabet
         codes = [index.get(c) for c in word]
@@ -225,22 +239,26 @@ def _successors(
                 if d is None or j + d > n:
                     break  # no selected subword from i ends within the word
                 if d == 0:
-                    mid = word[i:j]
-                    tail = word[j:]
-                    for left, right, shift in contexts:
-                        y = head + left + mid + right + tail
-                        if check:
+                    mid = word[i:j]  # the tail is sliced only for a step that is built
+                    for left, right, shift, size in contexts:
+                        if not check:
+                            out.append(head + left + mid + right + word[j:])
+                            continue
+                        if room is not None and size > room:
+                            inner = mid  # past the limit: decided from the parts
+                        else:
+                            y = head + left + mid + right + word[j:]
                             if len(y) <= n:
                                 raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
-                            # re-applicability: after insertion the selected
-                            # subword is intact, so the pair must still select it
+                            out.append(y)
                             inner = y[i + shift : j + shift]
-                            ok = selected.get(inner)
-                            if ok is None:
-                                ok = selected[inner] = contains(inner)
-                            if not ok:
-                                raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
-                        out.append(y)
+                        # re-applicability: after insertion the selected
+                        # subword is intact, so the pair must still select it
+                        ok = selected.get(inner)
+                        if ok is None:
+                            ok = selected[inner] = contains(inner)
+                        if not ok:
+                            raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
                 if j == n:
                     break
                 s = codes[j]
@@ -280,9 +298,10 @@ def generate_bounded(
     Every kept step strictly lengthens the word, so the closure runs by
     length layers: a layer is complete once the shorter ones are expanded,
     is sorted once, and its words are expanded in order, each once.
-    check_invariants has the kernel check every step it builds, also
-    those beyond max_len; the membership of a selected subword is decided
-    once per (pair, subword) in the call.
+    The kernel builds only the steps within max_len.  check_invariants
+    has it check every step, also those beyond max_len, which it decides
+    from their parts without building them; the membership of a selected
+    subword is decided once per (pair, subword) in the call.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
@@ -300,7 +319,6 @@ def generate_bounded(
     for w in seen:
         layers[len(w)].append(w)
     plan = _step_plan(g)
-    limit = None if check_invariants else max_len
     out: list[str] = []
     expansions = 0
     while layers:
@@ -309,7 +327,7 @@ def generate_bounded(
             if step_cap is not None and expansions >= step_cap:
                 raise StepCapExceeded(g.alphabet.sort_words(seen), expansions)
             expansions += 1
-            for y in _successors(plan, mode, w, limit, check_invariants):
+            for y in _successors(plan, mode, w, max_len, check_invariants):
                 if len(y) <= max_len and y not in seen:
                     seen.add(y)
                     layers[len(y)].append(y)

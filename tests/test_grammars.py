@@ -24,7 +24,7 @@ from sublang.grammars import (
     validate_grammar,
 )
 from sublang.regexes import Empty, Union, compile_regex
-from sublang.witnesses import dyck_grammar, ec35_grammar, ic32_grammar, ic34_grammar
+from sublang.witnesses import dyck_grammar, ec35_grammar, ic32_grammar, ic34_grammar, kk_grammar
 
 AB = Alphabet.of("ab")
 
@@ -153,6 +153,8 @@ def test_invariant_check_covers_candidates_beyond_max_len(monkeypatch):
 
 
 def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
+    # dyck and kk(1) are closures of `verify --lemma all`: most of their
+    # steps are past max_len, so they are decided without being built
     contains = LanguageHandle.contains
     calls: list[tuple[int, str]] = []
 
@@ -161,26 +163,45 @@ def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
         return contains(self, word)
 
     monkeypatch.setattr(LanguageHandle, "contains", counting)
-    g = ic34_grammar()
-    assert generate_bounded(g, "in", 9, check_invariants=True) == generation_reference.generate_bounded(g, "in", 9)
-    ours = list(calls)
-    calls.clear()
-    generation_reference.generate_bounded(g, "in", 9, check_invariants=True)
-    assert len(ours) == len(set(ours))
-    assert set(ours) == set(calls)  # the heap route decides the same subwords, with repeats
-    assert len(calls) > len(ours)
+    for g, max_len in ((ic34_grammar(), 9), (dyck_grammar(), 8), (kk_grammar(1), 10)):
+        want = generation_reference.generate_bounded(g, "in", max_len)
+        calls.clear()
+        assert generate_bounded(g, "in", max_len, check_invariants=True) == want
+        ours = list(calls)
+        calls.clear()
+        generation_reference.generate_bounded(g, "in", max_len, check_invariants=True)
+        assert len(ours) == len(set(ours))
+        assert set(ours) == set(calls)  # the heap route decides the same subwords, with repeats
+        assert len(calls) > len(ours)
 
 
-def test_invariant_check_rejects_a_step_that_does_not_lengthen(monkeypatch):
-    # an empty context let through the plan makes the self-loop '' -> ''
+@pytest.fixture()
+def dyck_with_empty_context(monkeypatch):
+    """dyck with a (_,_) context after (c,d), let through the plan."""
     g = dyck_grammar()
     pair = g.pairs[0]
-    g = g._replace(pairs=(pair._replace(contexts=pair.contexts + (Context("", ""),)),))
     monkeypatch.setattr(Context, "is_empty", property(lambda self: False))
+    return g._replace(pairs=(pair._replace(contexts=pair.contexts + (Context("", ""),)),))
+
+
+def test_invariant_check_rejects_a_step_that_does_not_lengthen(dyck_with_empty_context):
+    # an empty context let through the plan makes the self-loop '' -> ''
+    g = dyck_with_empty_context
     assert generate_bounded(g, "in", 4) == ["", "cd", "ccdd", "cdcd"]
     for mode in ("in", "ex"):
         with pytest.raises(AssertionError, match="shortened '' to ''"):
             generate_bounded(g, mode, 4, check_invariants=True)
+
+
+def test_invariant_check_decides_a_step_past_max_len_in_context_order(dyck_with_empty_context, monkeypatch):
+    # at max_len 0 the step '' -> 'cd' is past the bound and the empty
+    # context after it is not: 'cd' is not built, but its check on the
+    # selected subword '' still comes first
+    contains = LanguageHandle.contains
+    monkeypatch.setattr(LanguageHandle, "contains", lambda self, word: word != "" and contains(self, word))
+    for route in (generate_bounded, generation_reference.generate_bounded):
+        with pytest.raises(AssertionError, match="^inserted context destroyed the selected subword of ''$"):
+            route(dyck_with_empty_context, "in", 0, check_invariants=True)
 
 
 def test_compare_bounded_a_star_vs_a_plus():

@@ -420,13 +420,16 @@ def test_hopcroft_minimize_agrees_with_moore_on_window_automata(rep):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(("a", "ab", "abc")).map(Alphabet.of), st.booleans(), st.data())
 def test_accepted_words_agree_with_the_level_search(alphabet, minimal, data):
-    """The per-length depth-first walk yields the words of the former
-    level-by-level search, in its (length, lex) order, at every bound."""
+    """The walk yields the words of the former level-by-level search, in
+    its (length, lex) order, at every bound, also when its own level
+    search hands over to the per-length depth-first walk at any length."""
     d = data.draw(dfas(9, alphabet))
     if minimal:
         d = minimize(d)
-    for n in range(11 if len(alphabet) < 3 else 7):
-        assert list(accepted_words(d, n)) == graph_reference.enumerate_upto(d, n)
+    for cap in (automata._LEVEL_CAP, 0, 3):
+        with mock.patch.object(automata, "_LEVEL_CAP", cap):
+            for n in range(11 if len(alphabet) < 3 else 7):
+                assert list(accepted_words(d, n)) == graph_reference.enumerate_upto(d, n)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -528,6 +531,25 @@ def grammars(draw):
     if selected and draw(st.booleans()):
         axioms.append(selected[0])
     return ContextualGrammar(alphabet, tuple(pairs), tuple(axioms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grammars(), st.text("ab", max_size=3))
+def test_invariant_check_agrees_with_heap_reference_under_a_faulty_selector(g, bad):
+    """With the membership test rejecting one word, the checked closure
+    gives the heap closure's words or its error message, in both modes at
+    bounds 0-8, so also where whole last layers are past the bound."""
+    contains = LanguageHandle.contains
+    with mock.patch.object(LanguageHandle, "contains", lambda self, word: word != bad and contains(self, word)):
+        for mode in ("ex", "in"):
+            for max_len in range(9):
+                outcomes = []
+                for route in (generate_bounded, generation_reference.generate_bounded):
+                    try:
+                        outcomes.append(route(g, mode, max_len, check_invariants=True))
+                    except AssertionError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
