@@ -424,8 +424,10 @@ def enumerate_upto(d: Dfa, n: int) -> list[str]:
     return list(accepted_words(d, n))
 
 
-# the most live prefixes of one length that the level search holds
-_LEVEL_CAP = 1 << 12
+# about the most bytes one level of the level search may hold: a prefix
+# costs its letters plus _PREFIX_BYTES for the tuple and string holding it
+_LEVEL_CAP = 1 << 21
+_PREFIX_BYTES = 128
 
 
 def accepted_words(d: Dfa, n: int) -> Iterator[str]:
@@ -435,13 +437,14 @@ def accepted_words(d: Dfa, n: int) -> Iterator[str]:
     some word of at most the letters left leads to acceptance, in lex
     order, yields the accepted ones and extends them in alphabet order, so
     a sparse language costs one step per live prefix.  Once the next level
-    would hold more than `_LEVEL_CAP` prefixes, the last level becomes the
-    frontier of one depth-first walk per length: it takes symbols in
-    alphabet order and extends a prefix only where some word of exactly
-    the letters left leads its state to acceptance, so it holds one path
-    of the walk with its siblings, not a whole length level.  Once no
-    state accepts in exactly r letters, none does in more, so the walk
-    ends there.
+    would take more than `_LEVEL_CAP` bytes, the last level becomes the
+    frontier of one depth-first walk per length (`_walk`).  The cap is on
+    the level's memory, its letters plus a fixed charge per prefix, not on
+    its count of prefixes: a language whose levels grow polynomially stays
+    in the level search, where each length would otherwise walk every live
+    prefix again, and an exponentially growing one still hands over at a
+    short length.  Once no state accepts in exactly r letters, none does
+    in more, so the walks end there.
     """
     if n < 0:
         raise InputError("length bound must be >= 0")
@@ -457,11 +460,15 @@ def accepted_words(d: Dfa, n: int) -> Iterator[str]:
         if base == n:
             return
         room = n - base - 1
-        grown = [(w + a, t) for w, q in level for a, t in moves[q] if near[t] <= room]
-        if len(grown) > _LEVEL_CAP:
+        budget = _LEVEL_CAP // (_PREFIX_BYTES + base + 1)  # the prefixes the next level may hold
+        grown = ((w + a, t) for w, q in level for a, t in moves[q] if near[t] <= room)
+        held = list(itertools.islice(grown, budget + 1))
+        if len(held) > budget:
             break
-        level = grown
+        level = held
         base += 1
+    if not level:  # no live prefix is left
+        return
     # last symbol first, so the stack pops them in order
     pushes = [m[::-1] for m in moves]
     # ends[r][q]: some word of exactly r letters leads q to acceptance
@@ -469,20 +476,32 @@ def accepted_words(d: Dfa, n: int) -> Iterator[str]:
     for length in range(base + 1, n + 1):
         last = ends[-1]
         ends.append([any(last[t] for t in row) for row in d.transitions])
-        live = ends[length - base]
-        if not any(live):
+        if not any(ends[-1]):
             return
-        stack = [(w, q) for w, q in reversed(level) if live[q]]
-        while stack:
-            w, q = stack.pop()
-            left = length - len(w) - 1
-            live = ends[left]
-            if left:
-                stack.extend([(w + a, t) for a, t in pushes[q] if live[t]])
-            else:  # the last letter: its words come in symbol order
-                for a, t in moves[q]:
-                    if live[t]:
-                        yield w + a
+        yield from _walk(level, length, moves, pushes, ends)
+
+
+def _walk(frontier: list, length: int, moves: list, pushes: list, ends: list) -> Iterator[str]:
+    """The words of exactly `length` letters through the prefixes of
+    `frontier` (all of one length, in lex order), by one depth-first walk.
+
+    It takes symbols in alphabet order and extends a prefix only where
+    some word of exactly the letters left leads its state to acceptance,
+    so it holds one path of the walk with its siblings, not a whole length
+    level.
+    """
+    live = ends[length - len(frontier[0][0])]
+    stack = [(w, q) for w, q in reversed(frontier) if live[q]]
+    while stack:
+        w, q = stack.pop()
+        left = length - len(w) - 1
+        live = ends[left]
+        if left:
+            stack.extend([(w + a, t) for a, t in pushes[q] if live[t]])
+        else:  # the last letter: its words come in symbol order
+            for a, t in moves[q]:
+                if live[t]:
+                    yield w + a
 
 
 def find_cycle(symbols, roots, succ) -> tuple[object, str] | None:

@@ -172,9 +172,12 @@ def _step_plan(g: ContextualGrammar) -> list[tuple]:
     Per pair: the non-empty contexts as (left, right, len(left),
     len(left) + len(right)), each subset of them by room left under a
     length bound (None: all), the selector's membership test,
-    transitions, distances, start and symbol index, and a membership memo
-    keyed by the subword.  Empty contexts are dropped as self-loops, so
-    every step strictly lengthens the word.
+    transitions, distances, start and symbol index, a membership memo
+    keyed by the subword, and by length bound the number of selectable
+    words within it not yet decided true in the memo (counted once per
+    bound, when a word first has no room for any context).  Empty
+    contexts are dropped as self-loops, so every step strictly lengthens
+    the word.
     """
     plan = []
     for pair in g.pairs:
@@ -185,9 +188,31 @@ def _step_plan(g: ContextualGrammar) -> list[tuple]:
         dfa = sel.dfa
         plan.append((
             {None: contexts}, sel.contains, dfa.transitions, sel.distances, dfa.start,
-            dfa.alphabet._index, {},  # type: ignore[attr-defined]
+            dfa.alphabet._index, {}, {},  # type: ignore[attr-defined]
         ))
     return plan
+
+
+def _selectable_count(trans: tuple, dist: tuple, start: int, limit: int) -> int:
+    """The number of accepted words of length <= limit, by a length DP.
+
+    `paths[q]` counts the words of the current length that lead from
+    start to q; a state from which acceptance is out of reach in the
+    letters left is dropped.
+    """
+    paths = {} if dist[start] is None else {start: 1}
+    total = 0
+    for length in range(limit + 1):
+        total += sum(c for q, c in paths.items() if not dist[q])
+        room = limit - length - 1
+        grown: defaultdict[int, int] = defaultdict(int)
+        for q, c in paths.items():
+            for t in trans[q]:
+                d = dist[t]
+                if d is not None and d <= room:
+                    grown[t] += c
+        paths = grown
+    return total
 
 
 def _successors(
@@ -207,12 +232,16 @@ def _successors(
     leaves nothing to decide; in internal mode each selected subword is
     decided at the step's own place, so a pair whose every step is past
     the limit is still scanned, and the same subwords are decided and the
-    same error raised as if every step were built.
+    same error raised as if every step were built.  That scan of a word
+    within the limit is skipped once every selectable word of at most
+    limit letters is decided true in the plan's memo: it could only look
+    them up.  A word decided false is never counted, so a plan reused
+    after a caught error still scans every word that fails.
     """
     n = len(word)
     room = None if limit is None else limit - n
     out: list[str] = []
-    for by_room, contains, trans, dist, start, index, selected in plan:
+    for by_room, contains, trans, dist, start, index, selected, undecided in plan:
         contexts = by_room.get(room)
         if contexts is None:
             contexts = by_room[room] = tuple(c for c in by_room[None] if c[3] <= room)
@@ -225,6 +254,16 @@ def _successors(
                     out.append(y)
             continue
         if check:
+            if not contexts and limit is not None and n <= limit:
+                # every step is past the limit: the scan could only decide
+                # a selectable word of at most limit letters, and has
+                # nothing to do once each of them is decided true
+                left_undecided = undecided.get(limit)
+                if left_undecided is None:
+                    have = sum(1 for w, ok in selected.items() if ok and len(w) <= limit)
+                    left_undecided = undecided[limit] = _selectable_count(trans, dist, start, limit) - have
+                if not left_undecided:
+                    continue
             contexts = by_room[None]  # steps past the limit are checked too
         if not contexts:
             continue
@@ -257,6 +296,10 @@ def _successors(
                         ok = selected.get(inner)
                         if ok is None:
                             ok = selected[inner] = contains(inner)
+                            if ok:
+                                for bound in undecided:
+                                    if len(inner) <= bound:
+                                        undecided[bound] -= 1
                         if not ok:
                             raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
                 if j == n:
@@ -301,7 +344,9 @@ def generate_bounded(
     The kernel builds only the steps within max_len.  check_invariants
     has it check every step, also those beyond max_len, which it decides
     from their parts without building them; the membership of a selected
-    subword is decided once per (pair, subword) in the call.
+    subword is decided once per (pair, subword) in the call, and a word
+    with no room for any of a pair's contexts is not scanned for it once
+    every word of the selector within max_len is decided true.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")

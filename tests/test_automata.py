@@ -4,6 +4,7 @@ import pytest
 
 from conftest import all_words, brute_accepted
 
+from sublang import automata
 from sublang.automata import (
     Alphabet,
     Dfa,
@@ -244,6 +245,20 @@ def test_accepted_words_stream_without_building_a_length_level():
         next(accepted_words(d, -1))
     # a finite language ends the walk at its longest word, whatever the bound
     assert list(accepted_words(compile_regex("ab|b", AB), 10**9)) == ["b", "ab"]
+
+
+def test_accepted_words_keep_a_polynomial_language_in_the_level_search(monkeypatch):
+    # a*b*c* has (k+1)(k+2)/2 words of length k, so its levels stay small
+    # in bytes and no length restarts a depth-first walk; (a|b)* doubles
+    # per length and hands over to one walk per length at 14
+    walks: list[int] = []
+    walk = automata._walk
+    monkeypatch.setattr(automata, "_walk", lambda frontier, length, *rest: walks.append(length) or walk(frontier, length, *rest))
+    d = minimize(compile_regex("a*b*c*", Alphabet.of("abc")))
+    assert sum(1 for _ in accepted_words(d, 120)) == 302621  # C(123, 3)
+    assert walks == []
+    assert sum(1 for _ in accepted_words(compile_regex("(a|b)*", AB), 16)) == 2**17 - 1
+    assert walks == [14, 15, 16]
 
 
 def test_dfa_for_words_roundtrip():

@@ -153,8 +153,10 @@ def test_invariant_check_covers_candidates_beyond_max_len(monkeypatch):
 
 
 def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
-    # dyck and kk(1) are closures of `verify --lemma all`: most of their
-    # steps are past max_len, so they are decided without being built
+    # dyck, kk(1) and kk(2) at 12 are closures of `verify --lemma all`:
+    # most of their steps are past max_len, so they are decided without
+    # being built, and once kk's finite selector has every word decided,
+    # a word with no room for its context is not scanned at all
     contains = LanguageHandle.contains
     calls: list[tuple[int, str]] = []
 
@@ -163,7 +165,8 @@ def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
         return contains(self, word)
 
     monkeypatch.setattr(LanguageHandle, "contains", counting)
-    for g, max_len in ((ic34_grammar(), 9), (dyck_grammar(), 8), (kk_grammar(1), 10)):
+    cases = ((ic34_grammar(), 9), (dyck_grammar(), 8), (kk_grammar(1), 10), (kk_grammar(1), 12), (kk_grammar(2), 12))
+    for g, max_len in cases:
         want = generation_reference.generate_bounded(g, "in", max_len)
         calls.clear()
         assert generate_bounded(g, "in", max_len, check_invariants=True) == want
@@ -173,6 +176,71 @@ def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
         assert len(ours) == len(set(ours))
         assert set(ours) == set(calls)  # the heap route decides the same subwords, with repeats
         assert len(calls) > len(ours)
+
+
+def test_invariant_check_decides_the_last_selectable_word_in_a_word_past_the_bound(monkeypatch):
+    # selector {a, ab}, context (b, a): at 5 the closure of a is a, baa,
+    # babaa and bbaaa, and neither word of 5 letters has room for the
+    # context; ab first occurs in babaa, where the last selectable word is
+    # decided, and bbaaa is then not scanned
+    g = ContextualGrammar(AB, (SelectionPair(LanguageHandle.from_regex("a|ab", AB), (Context("b", "a"),)),), ("a",))
+    assert generate_bounded(g, "in", 5, check_invariants=True) == ["a", "baa", "babaa", "bbaaa"]
+    contains = LanguageHandle.contains
+    monkeypatch.setattr(LanguageHandle, "contains", lambda self, word: word != "ab" and contains(self, word))
+    for route in (generate_bounded, generation_reference.generate_bounded):
+        with pytest.raises(AssertionError, match="^inserted context destroyed the selected subword of 'babaa'$"):
+            route(g, "in", 5, check_invariants=True)
+
+
+def _finite_tail_grammar() -> ContextualGrammar:
+    """Selector {b, ab, a^9 b} over ab with context (c, d): one selectable
+    word is longer than 8, the others are within any bound of 2 or more."""
+    sel = LanguageHandle.from_regex("b|ab|aaaaaaaaab", AB)
+    return ContextualGrammar(Alphabet.of("abcd"), (SelectionPair(sel, (Context("c", "d"),)),), ("ab", "aaaaaaaaab"))
+
+
+@pytest.mark.parametrize(
+    "grammar, bad",
+    [(kk_grammar(1), None), (kk_grammar(1), "aab"), (_finite_tail_grammar(), None), (_finite_tail_grammar(), "ab")],
+    ids=["kk1", "kk1-rejects-aab", "tail", "tail-rejects-ab"],
+)
+def test_one_plan_at_two_bounds_decides_and_raises_as_fresh_plans(monkeypatch, grammar, bad):
+    # one plan checks the closure's words at 12 and then at 8, also after
+    # a caught error: each call gives a fresh plan's steps or error, and
+    # the plan decides each subword a fresh plan decides, once
+    words = {limit: generate_bounded(grammar, "in", limit) for limit in (12, 8)}
+    contains = LanguageHandle.contains
+    calls: list[tuple[int, str]] = []
+
+    def counting(self, word):
+        calls.append((id(self), word))
+        return word != bad and contains(self, word)
+
+    monkeypatch.setattr(LanguageHandle, "contains", counting)
+
+    def outcome(plan, word, limit):
+        calls.clear()
+        try:
+            result = _successors(plan, "in", word, limit, True)
+        except AssertionError as exc:
+            result = str(exc)
+        return result, list(calls)
+
+    plan = _step_plan(grammar)
+    shared: list[tuple[int, str]] = []
+    fresh: set[tuple[int, str]] = set()
+    errors = 0
+    for limit, layer in words.items():
+        for w in layer:
+            got, made = outcome(plan, w, limit)
+            want, fresh_made = outcome(_step_plan(grammar), w, limit)
+            assert got == want, (limit, w)
+            errors += isinstance(got, str)
+            shared += made
+            fresh.update(fresh_made)
+    assert len(shared) == len(set(shared))
+    assert set(shared) == fresh
+    assert (errors > 0) == (bad is not None)
 
 
 @pytest.fixture()

@@ -426,7 +426,8 @@ def test_accepted_words_agree_with_the_level_search(alphabet, minimal, data):
     d = data.draw(dfas(9, alphabet))
     if minimal:
         d = minimize(d)
-    for cap in (automata._LEVEL_CAP, 0, 3):
+    # 420 bytes hold at most 3 prefixes of up to 11 letters
+    for cap in (automata._LEVEL_CAP, 0, 420):
         with mock.patch.object(automata, "_LEVEL_CAP", cap):
             for n in range(11 if len(alphabet) < 3 else 7):
                 assert list(accepted_words(d, n)) == graph_reference.enumerate_upto(d, n)
