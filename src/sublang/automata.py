@@ -230,10 +230,6 @@ def coaccessible_states(d: Dfa) -> set[int]:
     return {q for q, n in enumerate(accept_distances(d)) if n is not None}
 
 
-def is_empty_language(d: Dfa) -> bool:
-    return not (reachable_states(d) & d.accepting)
-
-
 def least_word(symbols, starts, succ, is_target) -> str | None:
     """Length-lex least word leading from some start node to a target node.
 

@@ -4,16 +4,16 @@ External derivation wraps a context around the whole word when the word
 belongs to a pair's selection language; internal derivation wraps it
 around any subword belonging to the selection language.  One successor
 kernel builds the steps of a word within a length bound (and, if asked,
-checks every step) as a list of words, reading each pair through a plan
-built once per call; generation is a closure over it by length layers,
-because every kept step strictly lengthens the word, so a length bound
-makes it exhaustive.
+checks each step it builds) as a list of words, reading each pair
+through a plan built once per call; generation is a closure over it by
+length layers, because every kept step strictly lengthens the word, so a
+length bound makes it exhaustive.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .automata import (
     Alphabet,
@@ -35,30 +35,26 @@ class LanguageHandle(NamedTuple):
 
     Membership queries answer False for words outside U*, so selectors
     defined over a sub-alphabet simply reject foreign-symbol words.
-    `distances[q]` is the fewest steps from state q of `dfa` to
-    acceptance, None where acceptance is out of reach.
     """
 
     alphabet: Alphabet
     dfa: Dfa
     source: object  # RegexAst | SltRep | Dfa, kept for rendering/validation
-    distances: tuple[int | None, ...]
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "LanguageHandle":
         dm = minimize(d)
-        return cls(dm.alphabet, dm, d, tuple(accept_distances(dm)))
+        return cls(dm.alphabet, dm, d)
 
     @classmethod
     def from_regex(cls, expr: RegexAst | str, alphabet: Alphabet | None = None) -> "LanguageHandle":
         ast = parse_regex(expr) if isinstance(expr, str) else expr
         dfa = compile_regex(ast, alphabet)
-        return cls(dfa.alphabet, dfa, ast, tuple(accept_distances(dfa)))
+        return cls(dfa.alphabet, dfa, ast)
 
     @classmethod
     def from_slt(cls, rep: SltRep) -> "LanguageHandle":
-        dfa = slt_to_dfa(rep)
-        return cls(rep.alphabet, dfa, rep, tuple(accept_distances(dfa)))
+        return cls(rep.alphabet, slt_to_dfa(rep), rep)
 
     def contains(self, word: str) -> bool:
         return self.dfa.accepts(word)
@@ -158,10 +154,6 @@ def validate_grammar(g: ContextualGrammar) -> list[Diagnostic]:
     return out
 
 
-def grammar_is_valid(diagnostics: Iterable[Diagnostic]) -> bool:
-    return not any(d.severity == "error" for d in diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # derivation steps
 
@@ -172,12 +164,10 @@ def _step_plan(g: ContextualGrammar) -> list[tuple]:
     Per pair: the non-empty contexts as (left, right, len(left),
     len(left) + len(right)), each subset of them by room left under a
     length bound (None: all), the selector's membership test,
-    transitions, distances, start and symbol index, a membership memo
-    keyed by the subword, and by length bound the number of selectable
-    words within it not yet decided true in the memo (counted once per
-    bound, when a word first has no room for any context).  Empty
-    contexts are dropped as self-loops, so every step strictly lengthens
-    the word.
+    transitions, distances to acceptance (computed here from the same
+    automaton, so they cannot disagree with it), start and symbol index,
+    and a membership memo keyed by the subword.  Empty contexts are
+    dropped as self-loops, so every step strictly lengthens the word.
     """
     plan = []
     for pair in g.pairs:
@@ -187,32 +177,10 @@ def _step_plan(g: ContextualGrammar) -> list[tuple]:
         sel = pair.selector
         dfa = sel.dfa
         plan.append((
-            {None: contexts}, sel.contains, dfa.transitions, sel.distances, dfa.start,
-            dfa.alphabet._index, {}, {},  # type: ignore[attr-defined]
+            {None: contexts}, sel.contains, dfa.transitions, accept_distances(dfa), dfa.start,
+            dfa.alphabet._index, {},  # type: ignore[attr-defined]
         ))
     return plan
-
-
-def _selectable_count(trans: tuple, dist: tuple, start: int, limit: int) -> int:
-    """The number of accepted words of length <= limit, by a length DP.
-
-    `paths[q]` counts the words of the current length that lead from
-    start to q; a state from which acceptance is out of reach in the
-    letters left is dropped.
-    """
-    paths = {} if dist[start] is None else {start: 1}
-    total = 0
-    for length in range(limit + 1):
-        total += sum(c for q, c in paths.items() if not dist[q])
-        room = limit - length - 1
-        grown: defaultdict[int, int] = defaultdict(int)
-        for q, c in paths.items():
-            for t in trans[q]:
-                d = dist[t]
-                if d is not None and d <= room:
-                    grown[t] += c
-        paths = grown
-    return total
 
 
 def _successors(
@@ -221,51 +189,27 @@ def _successors(
     """Every one-step derivation of word within limit, in (pair, split, context) order.
 
     Given a limit, contexts that would make a step longer than it are
-    dropped, and without check a pair with none left is not scanned.
-    With check on, every step is checked in that order, also those past
-    the limit: it must lengthen word, and in internal mode the step's own
-    slice at the shifted split must still be selected (decided once per
-    pair and subword).  Only the steps within the limit are built; the
-    checks of a step past it follow from its parts, so it is not built:
-    it is len(word) + len(left) + len(right) > limit >= len(word) long,
-    and its slice is the selected subword itself.  In external mode that
-    leaves nothing to decide; in internal mode each selected subword is
-    decided at the step's own place, so a pair whose every step is past
-    the limit is still scanned, and the same subwords are decided and the
-    same error raised as if every step were built.  That scan of a word
-    within the limit is skipped once every selectable word of at most
-    limit letters is decided true in the plan's memo: it could only look
-    them up.  A word decided false is never counted, so a plan reused
-    after a caught error still scans every word that fails.
+    dropped, and a pair with none left is not scanned.  With check on,
+    every step built is checked in that order: it must lengthen word,
+    and in internal mode its own slice at the shifted split must still
+    be selected (decided once per pair and subword).
     """
     n = len(word)
     room = None if limit is None else limit - n
     out: list[str] = []
-    for by_room, contains, trans, dist, start, index, selected, undecided in plan:
+    for by_room, contains, trans, dist, start, index, selected in plan:
         contexts = by_room.get(room)
         if contexts is None:
             contexts = by_room[room] = tuple(c for c in by_room[None] if c[3] <= room)
+        if not contexts:
+            continue
         if mode == "ex":
-            if contexts and contains(word):
+            if contains(word):
                 for left, right, _, _ in contexts:
                     y = left + word + right
                     if check and len(y) <= n:
                         raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
                     out.append(y)
-            continue
-        if check:
-            if not contexts and limit is not None and n <= limit:
-                # every step is past the limit: the scan could only decide
-                # a selectable word of at most limit letters, and has
-                # nothing to do once each of them is decided true
-                left_undecided = undecided.get(limit)
-                if left_undecided is None:
-                    have = sum(1 for w, ok in selected.items() if ok and len(w) <= limit)
-                    left_undecided = undecided[limit] = _selectable_count(trans, dist, start, limit) - have
-                if not left_undecided:
-                    continue
-            contexts = by_room[None]  # steps past the limit are checked too
-        if not contexts:
             continue
         # None marks a foreign symbol for this selector's alphabet
         codes = [index.get(c) for c in word]
@@ -278,30 +222,22 @@ def _successors(
                 if d is None or j + d > n:
                     break  # no selected subword from i ends within the word
                 if d == 0:
-                    mid = word[i:j]  # the tail is sliced only for a step that is built
-                    for left, right, shift, size in contexts:
-                        if not check:
-                            out.append(head + left + mid + right + word[j:])
-                            continue
-                        if room is not None and size > room:
-                            inner = mid  # past the limit: decided from the parts
-                        else:
-                            y = head + left + mid + right + word[j:]
+                    mid = word[i:j]
+                    tail = word[j:]
+                    for left, right, shift, _ in contexts:
+                        y = head + left + mid + right + tail
+                        if check:
                             if len(y) <= n:
                                 raise AssertionError(f"derivation step shortened {word!r} to {y!r}")
-                            out.append(y)
+                            # re-applicability: after insertion the selected
+                            # subword is intact, so the pair must still select it
                             inner = y[i + shift : j + shift]
-                        # re-applicability: after insertion the selected
-                        # subword is intact, so the pair must still select it
-                        ok = selected.get(inner)
-                        if ok is None:
-                            ok = selected[inner] = contains(inner)
-                            if ok:
-                                for bound in undecided:
-                                    if len(inner) <= bound:
-                                        undecided[bound] -= 1
-                        if not ok:
-                            raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
+                            ok = selected.get(inner)
+                            if ok is None:
+                                ok = selected[inner] = contains(inner)
+                            if not ok:
+                                raise AssertionError(f"inserted context destroyed the selected subword of {word!r}")
+                        out.append(y)
                 if j == n:
                     break
                 s = codes[j]
@@ -341,12 +277,9 @@ def generate_bounded(
     Every kept step strictly lengthens the word, so the closure runs by
     length layers: a layer is complete once the shorter ones are expanded,
     is sorted once, and its words are expanded in order, each once.
-    The kernel builds only the steps within max_len.  check_invariants
-    has it check every step, also those beyond max_len, which it decides
-    from their parts without building them; the membership of a selected
-    subword is decided once per (pair, subword) in the call, and a word
-    with no room for any of a pair's contexts is not scanned for it once
-    every word of the selector within max_len is decided true.
+    The kernel builds only the steps within max_len, and check_invariants
+    has it check each of them; the membership of a selected subword is
+    decided once per (pair, subword) in the call.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")

@@ -11,7 +11,7 @@ evidence strings and payloads must agree exactly.
 import itertools
 from collections import deque
 
-from sublang.automata import Dfa, Nfa, difference, is_empty_language, reachable_states
+from sublang.automata import Dfa, Nfa, difference, reachable_states
 from sublang.families import Verdict
 
 
@@ -40,10 +40,7 @@ def shortest_word(d: Dfa) -> str | None:
 
 def _inclusion_witness(closure: Dfa, d: Dfa) -> str | None:
     """Shortest word in closure \\ L, or None when closure <= L."""
-    diff = difference(closure, d)
-    if is_empty_language(diff):
-        return None
-    return shortest_word(diff)
+    return shortest_word(difference(closure, d))
 
 
 def is_suffix_closed(d: Dfa) -> Verdict:

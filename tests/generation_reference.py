@@ -94,7 +94,8 @@ def generate_bounded(
 
     Sound because every derivation step is length-non-decreasing, so no
     word within the bound is ever reached only via a longer intermediate.
-    Each word is expanded at most once.
+    Each word is expanded at most once; check_invariants checks each step
+    within the bound, the steps that the closure keeps.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
@@ -118,7 +119,7 @@ def generate_bounded(
             raise StepCapExceeded(g.alphabet.sort_words(seen))
         expansions += 1
         for y, step in _steps(g, mode, w):
-            if check_invariants:
+            if check_invariants and len(y) <= max_len:
                 _check_expansion(g, mode, w, y, step)
             if len(y) <= max_len and y not in seen:
                 seen.add(y)

@@ -9,6 +9,7 @@ from sublang.automata import (
     Alphabet,
     Dfa,
     InputError,
+    accept_distances,
     accepted_words,
     are_equivalent,
     complement,
@@ -228,7 +229,7 @@ def test_selector_distances_on_a_long_chain():
     trans = tuple((min(q + 1, n - 1),) for q in range(n))
     d = Dfa(Alphabet.of("a"), n, 0, frozenset({n - 2}), trans)
     sel = LanguageHandle.from_dfa(d)
-    assert sel.distances[sel.dfa.start] == n - 2
+    assert accept_distances(sel.dfa)[sel.dfa.start] == n - 2
     # the context's b's mark where a step puts them
     g = ContextualGrammar(AB, (SelectionPair(sel, (Context("b", "b"),)),), ("a" * 10,))
     plan = _step_plan(g)

@@ -6,7 +6,7 @@ import generation_reference
 from conftest import random_regex_ast
 
 from sublang import families
-from sublang.automata import Alphabet, InputError, difference, is_empty_language
+from sublang.automata import Alphabet, Dfa, InputError, accept_distances, are_equivalent, union
 from sublang.families import classify
 from sublang.grammars import (
     Context,
@@ -19,7 +19,6 @@ from sublang.grammars import (
     compare_bounded,
     external_successors,
     generate_bounded,
-    grammar_is_valid,
     internal_successors,
     validate_grammar,
 )
@@ -54,12 +53,27 @@ def test_internal_successors_examples():
 def test_an_empty_selector_offers_no_internal_step():
     # the random grammars of the property tests never draw an empty selector
     sel = LanguageHandle.from_regex(Empty(), AB)
-    assert sel.distances[sel.dfa.start] is None
+    assert accept_distances(sel.dfa)[sel.dfa.start] is None
     g = ContextualGrammar(AB, (SelectionPair(sel, (Context("a", "b"),)),), ("ab",))
     for w in ("", "ab", "abba"):
         assert _successors(_step_plan(g), "in", w) == []
         assert list(generation_reference._internal_steps(g, w)) == []
     assert generate_bounded(g, "in", 6) == ["ab"]
+
+
+def test_the_kernel_walks_the_selector_automaton_it_is_given():
+    # a hand-built handle over a 4-cycle that is not minimal: odd numbers
+    # of a's, as states 1 and 3 of 0 -> 1 -> 2 -> 3 -> 0; the plan's
+    # distances are those of this automaton, so steps and checks are the
+    # heap reference's
+    cycle = Dfa(Alphabet.of("a"), 4, 0, frozenset({1, 3}), ((1,), (2,), (3,), (0,)))
+    sel = LanguageHandle(cycle.alphabet, cycle, cycle)
+    g = ContextualGrammar(AB, (SelectionPair(sel, (Context("b", "b"),)),), ("aaaa",))
+    for w in ("", "a", "aaaa", "aabaaa"):
+        assert _successors(_step_plan(g), "in", w) == [y for y, _ in generation_reference._internal_steps(g, w)]
+    want = generation_reference.generate_bounded(g, "in", 10, check_invariants=True)
+    assert generate_bounded(g, "in", 10, check_invariants=True) == want
+    assert "abaaab" in want
 
 
 def test_generate_bounded_examples():
@@ -122,8 +136,8 @@ def test_empty_context_discarded_as_self_loop():
     assert external_successors(g, "a") == set()
     assert generate_bounded(g, "ex", 5) == ["a"]  # terminates despite the self-loop
     diags = validate_grammar(g)
-    assert any("self-loop" in d.message for d in diags if d.severity == "warning")
-    assert grammar_is_valid(diags)
+    assert [d.severity for d in diags] == ["warning"]
+    assert "self-loop" in diags[0].message
 
 
 def test_generate_deterministic_across_runs():
@@ -136,27 +150,25 @@ def test_invariant_checks_pass_on_witnesses():
     generate_bounded(ec35_grammar(), "ex", 8, check_invariants=True)
 
 
-def test_invariant_check_covers_candidates_beyond_max_len(monkeypatch):
+def test_invariant_check_fails_a_built_step_on_a_rejected_subword(monkeypatch):
     # `ccdd` is selected only when `ccdd` itself is expanded, and every
-    # candidate of that expansion has length 6 > max_len
+    # step of that expansion has 6 letters: built at 6, where the check
+    # fails it, and never built at 4, where nothing is checked
     contains = LanguageHandle.contains
 
     def rejecting(self, word):
         return word != "ccdd" and contains(self, word)
 
-    assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
     monkeypatch.setattr(LanguageHandle, "contains", rejecting)
     for route in (generate_bounded, generation_reference.generate_bounded):
         with pytest.raises(AssertionError, match="destroyed the selected subword of 'ccdd'"):
-            route(dyck_grammar(), "in", 4, check_invariants=True)
-    assert generate_bounded(dyck_grammar(), "in", 4) == ["", "cd", "ccdd", "cdcd"]
+            route(dyck_grammar(), "in", 6, check_invariants=True)
+        assert route(dyck_grammar(), "in", 4, check_invariants=True) == ["", "cd", "ccdd", "cdcd"]
 
 
 def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
-    # dyck, kk(1) and kk(2) at 12 are closures of `verify --lemma all`:
-    # most of their steps are past max_len, so they are decided without
-    # being built, and once kk's finite selector has every word decided,
-    # a word with no room for its context is not scanned at all
+    # dyck, kk(1) and kk(2) at 12 are closures of `verify --lemma all`;
+    # the heap route checks the steps within max_len, as the kernel does
     contains = LanguageHandle.contains
     calls: list[tuple[int, str]] = []
 
@@ -178,18 +190,17 @@ def test_invariant_check_decides_each_selected_subword_once(monkeypatch):
         assert len(calls) > len(ours)
 
 
-def test_invariant_check_decides_the_last_selectable_word_in_a_word_past_the_bound(monkeypatch):
-    # selector {a, ab}, context (b, a): at 5 the closure of a is a, baa,
-    # babaa and bbaaa, and neither word of 5 letters has room for the
-    # context; ab first occurs in babaa, where the last selectable word is
-    # decided, and bbaaa is then not scanned
+def test_invariant_check_fails_the_first_word_that_selects_a_rejected_subword(monkeypatch):
+    # selector {a, ab}, context (b, a): the closure of a starts a, baa,
+    # babaa, bbaaa, and ab first occurs in babaa; its steps have 7
+    # letters, so at 7 the check fails them and at 5 they are not built
     g = ContextualGrammar(AB, (SelectionPair(LanguageHandle.from_regex("a|ab", AB), (Context("b", "a"),)),), ("a",))
-    assert generate_bounded(g, "in", 5, check_invariants=True) == ["a", "baa", "babaa", "bbaaa"]
     contains = LanguageHandle.contains
     monkeypatch.setattr(LanguageHandle, "contains", lambda self, word: word != "ab" and contains(self, word))
     for route in (generate_bounded, generation_reference.generate_bounded):
         with pytest.raises(AssertionError, match="^inserted context destroyed the selected subword of 'babaa'$"):
-            route(g, "in", 5, check_invariants=True)
+            route(g, "in", 7, check_invariants=True)
+        assert route(g, "in", 5, check_invariants=True) == ["a", "baa", "babaa", "bbaaa"]
 
 
 def _finite_tail_grammar() -> ContextualGrammar:
@@ -206,7 +217,8 @@ def _finite_tail_grammar() -> ContextualGrammar:
 )
 def test_one_plan_at_two_bounds_decides_and_raises_as_fresh_plans(monkeypatch, grammar, bad):
     # one plan checks the closure's words at 12 and then at 8, also after
-    # a caught error: each call gives a fresh plan's steps or error, and
+    # a caught error: each call gives a fresh plan's steps or error (its
+    # room-filtered contexts and memo are shared across the bounds), and
     # the plan decides each subword a fresh plan decides, once
     words = {limit: generate_bounded(grammar, "in", limit) for limit in (12, 8)}
     contains = LanguageHandle.contains
@@ -261,15 +273,18 @@ def test_invariant_check_rejects_a_step_that_does_not_lengthen(dyck_with_empty_c
             generate_bounded(g, mode, 4, check_invariants=True)
 
 
-def test_invariant_check_decides_a_step_past_max_len_in_context_order(dyck_with_empty_context, monkeypatch):
-    # at max_len 0 the step '' -> 'cd' is past the bound and the empty
-    # context after it is not: 'cd' is not built, but its check on the
-    # selected subword '' still comes first
+def test_invariant_check_fails_built_steps_in_context_order(dyck_with_empty_context, monkeypatch):
+    # the step '' -> 'cd' comes before the self-loop of the empty context:
+    # at 2 both are built, and the check of 'cd' on the selected subword
+    # '' fails first; at 0 only the self-loop is built, and it fails the
+    # lengthening check
     contains = LanguageHandle.contains
     monkeypatch.setattr(LanguageHandle, "contains", lambda self, word: word != "" and contains(self, word))
     for route in (generate_bounded, generation_reference.generate_bounded):
         with pytest.raises(AssertionError, match="^inserted context destroyed the selected subword of ''$"):
-            route(dyck_with_empty_context, "in", 0, check_invariants=True)
+            route(dyck_with_empty_context, "in", 2, check_invariants=True)
+    with pytest.raises(AssertionError, match="^derivation step shortened '' to ''$"):
+        generate_bounded(dyck_with_empty_context, "in", 0, check_invariants=True)
 
 
 def test_compare_bounded_a_star_vs_a_plus():
@@ -307,7 +322,6 @@ def test_validate_grammar_examples():
     )
     diags = validate_grammar(bad_axiom)
     assert any(d.severity == "error" and "axiom" in d.message for d in diags)
-    assert not grammar_is_valid(diags)
 
     wrong_family = ContextualGrammar(
         AB,
@@ -405,7 +419,7 @@ def test_selector_enlargement_grows_output():
         extra_ast = random_regex_ast(rng, 2)
         small = LanguageHandle.from_regex(base_ast, AB)
         big = LanguageHandle.from_regex(Union(base_ast, extra_ast), AB)
-        assert is_empty_language(difference(small.dfa, big.dfa))
+        assert are_equivalent(union(small.dfa, big.dfa), big.dfa)  # small <= big
         ctx = (Context("a", ""),)
         ax = ("b",)
         g_small = ContextualGrammar(AB, (SelectionPair(small, ctx),), ax)

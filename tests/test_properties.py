@@ -539,7 +539,8 @@ def grammars(draw):
 def test_invariant_check_agrees_with_heap_reference_under_a_faulty_selector(g, bad):
     """With the membership test rejecting one word, the checked closure
     gives the heap closure's words or its error message, in both modes at
-    bounds 0-8, so also where whole last layers are past the bound."""
+    bounds 0-8; both check the steps within the bound, so a rejected
+    word selected only by steps past it raises nothing."""
     contains = LanguageHandle.contains
     with mock.patch.object(LanguageHandle, "contains", lambda self, word: word != bad and contains(self, word)):
         for mode in ("ex", "in"):

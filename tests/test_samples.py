@@ -2,7 +2,7 @@ import os
 
 from sublang.automata import Alphabet, are_equivalent
 from sublang.formats import parse_dfa_file, parse_grammar_file, parse_slt_file, render_grammar
-from sublang.grammars import generate_bounded, grammar_is_valid, validate_grammar
+from sublang.grammars import generate_bounded, validate_grammar
 from sublang.regexes import compile_regex
 from sublang.slt import slt_to_dfa
 from sublang.witnesses import build_witness, dyck_words_upto, ic32_oracle
@@ -16,11 +16,11 @@ def path(name):
 
 def test_sample_grammars_parse_and_generate():
     dyck = parse_grammar_file(path("dyck.cg"))
-    assert grammar_is_valid(validate_grammar(dyck))
+    assert validate_grammar(dyck) == []
     assert generate_bounded(dyck, "in", 6) == dyck_words_upto(6)
 
     ins = parse_grammar_file(path("insertion.cg"))
-    assert grammar_is_valid(validate_grammar(ins))
+    assert validate_grammar(ins) == []
     assert generate_bounded(ins, "in", 8) == ic32_oracle(8)
 
 
