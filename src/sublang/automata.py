@@ -40,10 +40,11 @@ class Record:
     """Base of the package's immutable records with slots.
 
     A subclass names its value fields in `_fields`, in positional order,
-    declares them in `__slots__` and sets them in its `__init__` with
-    `_set_fields`.  Records are equal when they have the same type and
-    equal fields, so two types with equal fields stay unequal; the hash and
-    the repr read the same fields, and assignment raises AttributeError.
+    and declares them in `__slots__`.  `__init__` takes one value per
+    field, positionally; a subclass that validates its values passes them
+    on to it.  Records are equal when they have the same type and equal
+    fields, so two types with equal fields stay unequal; the hash and the
+    repr read the same fields, and assignment raises AttributeError.
     The package's other records are `typing.NamedTuple`s, which cost less
     to define; a Record reads its fields faster, which inner loops need,
     and equals no plain tuple, which the regex nodes need.
@@ -52,7 +53,9 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set_fields(self, *values: object) -> None:
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -105,7 +108,7 @@ class Alphabet(Record):
                 raise InputError(f"alphabet symbols must be single characters, got {s!r}")
         if len(set(symbols)) != len(symbols):
             raise InputError(f"duplicate alphabet symbols in {symbols!r}")
-        self._set_fields(symbols)
+        super().__init__(symbols)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
         object.__setattr__(self, "order_table", {ord(s): i for i, s in enumerate(symbols)})
 
@@ -182,10 +185,7 @@ class Dfa(Record):
                     raise InputError(f"transition target {t} out of range")
         if not all(0 <= q < n_states for q in accepting):
             raise InputError("accepting state out of range")
-        self._set_fields(alphabet, n_states, start, accepting, transitions, minimal)
-
-    def step(self, state: int, sym: str) -> int:
-        return self.transitions[state][self.alphabet.index(sym)]
+        super().__init__(alphabet, n_states, start, accepting, transitions, minimal)
 
     def run(self, word: str) -> int | None:
         """Final state, or None if the word uses a foreign symbol."""
@@ -582,14 +582,15 @@ class LanguageWindows:
         w meets coacc+;
       - a suffix window (V* w meets L) iff the image of reach under w
         meets the accepting states.
-    A word u shorter than the width is a short word iff d accepts it, and
-    live (it begins a word of L) iff d(s, u) is in coacc.
+    A word u shorter than the width is a short word iff d accepts it.  A
+    word u of at most the width is live (it begins a word of L) iff d(s, u)
+    is in coacc; at exactly the width, that is the prefix-window rule.
 
     `prefix_state`, `interior_image` and `suffix_image` apply the three
-    rules to the state or image a walk has already computed.  `prefix`,
-    `interior`, `suffix`, `short` and `live` take the word itself and
-    remember their answers; `short`, `live` and `prefix` expect to be asked
-    about each proper prefix of a word before the word.
+    rules to the state or image a walk has already computed.  `interior`,
+    `suffix`, `short` and `live` take the word itself and remember their
+    answers; `short` and `live` expect to be asked about each proper
+    prefix of a word before the word.
     """
 
     def __init__(self, d: Dfa) -> None:
@@ -631,8 +632,6 @@ class LanguageWindows:
 
     def live(self, u: str) -> bool:
         return self.prefix_state(self._state(u))
-
-    prefix = live
 
     def interior(self, w: str) -> bool:
         hit = self._interiors.get(w)
@@ -689,8 +688,8 @@ def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple
 class Nfa:
     """Mutable NFA builder with epsilon moves; determinize() yields a Dfa.
 
-    Used as scaffolding for regex compilation, finite word sets and the
-    reference automaton of a definite language.
+    Used as scaffolding for regex compilation and the reference automaton
+    of a definite language.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -740,18 +739,6 @@ class Nfa:
         )
         accepting = frozenset(i for i, s in enumerate(order) if s & self.accepting)
         return Dfa(self.alphabet, len(order), 0, accepting, tuple(rows))
-
-
-def dfa_for_words(alphabet: Alphabet, words: Iterable[str]) -> Dfa:
-    """Minimal DFA of a finite word set."""
-    nfa = Nfa(alphabet)
-    root = nfa.add_state()
-    nfa.starts.add(root)
-    for w in words:
-        if not alphabet.covers(w):
-            raise InputError(f"word {w!r} not over alphabet")
-        nfa.accepting.add(nfa.add_word(root, w))
-    return minimize(nfa.determinize())
 
 
 def universe_dfa(alphabet: Alphabet) -> Dfa:

@@ -814,10 +814,6 @@ class ClassificationReport(NamedTuple):
                 return v
         raise KeyError(family)
 
-    @property
-    def families(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
     def render(self) -> list[str]:
         return [f"{name} {v.render()}" for name, v in self.entries]
 

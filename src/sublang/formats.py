@@ -246,6 +246,11 @@ def parse_grammar_text(
             handle = LanguageHandle.from_slt(parse_slt_file(_resolve(payload, base_dir)))
         else:
             raise FormatError(f"{d.where}: unknown select kind {kind!r}")
+        if d.select_alphabet not in (None, handle.alphabet):  # a selector file's own alphabet rules
+            raise FormatError(
+                f"{d.where}: select-alphabet {' '.join(d.select_alphabet.symbols)} differs from "
+                f"the selector file's alphabet {' '.join(handle.alphabet.symbols)}"
+            )
         return SelectionPair(handle, tuple(d.contexts), d.family)
 
     for _, tokens, where in _logical_lines(text, source):

@@ -13,7 +13,7 @@ length bound makes it exhaustive.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .automata import (
     Alphabet,
@@ -31,30 +31,31 @@ from .slt import SltRep, slt_to_dfa
 
 
 class LanguageHandle(NamedTuple):
-    """A selection language over its own alphabet U.
+    """A selection language over its own alphabet U, the alphabet of its DFA.
 
     Membership queries answer False for words outside U*, so selectors
     defined over a sub-alphabet simply reject foreign-symbol words.
     """
 
-    alphabet: Alphabet
     dfa: Dfa
     source: object  # RegexAst | SltRep | Dfa, kept for rendering/validation
 
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.dfa.alphabet
+
     @classmethod
     def from_dfa(cls, d: Dfa) -> "LanguageHandle":
-        dm = minimize(d)
-        return cls(dm.alphabet, dm, d)
+        return cls(minimize(d), d)
 
     @classmethod
     def from_regex(cls, expr: RegexAst | str, alphabet: Alphabet | None = None) -> "LanguageHandle":
         ast = parse_regex(expr) if isinstance(expr, str) else expr
-        dfa = compile_regex(ast, alphabet)
-        return cls(dfa.alphabet, dfa, ast)
+        return cls(compile_regex(ast, alphabet), ast)
 
     @classmethod
     def from_slt(cls, rep: SltRep) -> "LanguageHandle":
-        return cls(rep.alphabet, slt_to_dfa(rep), rep)
+        return cls(slt_to_dfa(rep), rep)
 
     def contains(self, word: str) -> bool:
         return self.dfa.accepts(word)
@@ -67,9 +68,6 @@ class Context(Record):
     """The words a derivation step puts left and right of the selected word."""
 
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: str, right: str) -> None:
-        self._set_fields(left, right)
 
     @property
     def is_empty(self) -> bool:
@@ -335,47 +333,42 @@ class CompareReport(NamedTuple):
         return out
 
 
-BoundedSource = object  # grammar+mode tuple, LanguageHandle, Dfa, or word collection
-
-
-def bounded_words(source: BoundedSource, max_len: int) -> list[str]:
-    """Words of length <= max_len from any comparable source, sorted."""
-    if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], ContextualGrammar):
-        return generate_bounded(source[0], source[1], max_len)
+def _resolve_source(source: object) -> tuple[Alphabet | None, Callable[[int], list[str]]]:
+    """The alphabet of a `compare_bounded` source (None for a word
+    collection) and a call that lists its words of length <= max_len."""
     if isinstance(source, ContextualGrammar):
         raise InputError("a grammar source needs a mode: pass (grammar, 'ex'|'in')")
     if isinstance(source, LanguageHandle):
-        return source.bounded_words(max_len)
+        return source.alphabet, source.bounded_words
     if isinstance(source, Dfa):
-        return enumerate_upto(source, max_len)
+        return source.alphabet, lambda max_len: enumerate_upto(source, max_len)
+    if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], ContextualGrammar):
+        g, mode = source
+        return g.alphabet, lambda max_len: generate_bounded(g, mode, max_len)
+    # a record is a named tuple, not a word collection
     if isinstance(source, (set, frozenset, list, tuple)) and not hasattr(source, "_fields"):
-        # a record is a named tuple, not a word collection
-        return sorted({w for w in source if len(w) <= max_len}, key=lambda w: (len(w), w))
+        if all(isinstance(w, str) for w in source):
+            words = sorted(set(source), key=lambda w: (len(w), w))
+            return None, lambda max_len: [w for w in words if len(w) <= max_len]
     raise InputError(f"cannot enumerate a {type(source).__name__} source")
 
 
-def _source_alphabet(source: BoundedSource) -> Alphabet | None:
-    if isinstance(source, tuple) and source and isinstance(source[0], ContextualGrammar):
-        return source[0].alphabet
-    if isinstance(source, LanguageHandle):
-        return source.alphabet
-    if isinstance(source, Dfa):
-        return source.alphabet
-    return None
-
-
-def compare_bounded(left: BoundedSource, right: BoundedSource, max_len: int) -> CompareReport:
+def compare_bounded(left: object, right: object, max_len: int) -> CompareReport:
     """Symmetric difference of the two bounded word sets; empty means equal.
 
-    When only one source has an alphabet, every word of the other source
+    A source is a (grammar, mode) pair, a LanguageHandle, a Dfa or a
+    collection of strings, listed deduplicated by length and code point.
+    Two sources with alphabets must have the same one, checked before any
+    word is listed; when only one has an alphabet, every word of the other
     must be over it."""
-    la, ra = _source_alphabet(left), _source_alphabet(right)
+    la, left_words = _resolve_source(left)
+    ra, right_words = _resolve_source(right)
     if la is not None and ra is not None and la.symbols != ra.symbols:
         raise InputError(
             f"alphabet mismatch: {''.join(la.symbols)!r} vs {''.join(ra.symbols)!r}"
         )
-    lw = bounded_words(left, max_len)
-    rw = bounded_words(right, max_len)
+    lw = left_words(max_len)
+    rw = right_words(max_len)
     alpha = la if la is not None else ra
     if alpha is not None:
         stray = next((w for w in (rw if la is not None else lw) if not alpha.covers(w)), None)

@@ -33,17 +33,11 @@ class Epsilon(RegexAst):
 class Sym(RegexAst):
     __slots__ = _fields = ("char",)
 
-    def __init__(self, char: str) -> None:
-        self._set_fields(char)
-
 
 class _Binary(RegexAst):
     """A node with two operands; its subclasses differ only in type."""
 
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: RegexAst, right: RegexAst) -> None:
-        self._set_fields(left, right)
 
 
 class Concat(_Binary):
@@ -56,9 +50,6 @@ class Union(_Binary):
 
 class Star(RegexAst):
     __slots__ = _fields = ("inner",)
-
-    def __init__(self, inner: RegexAst) -> None:
-        self._set_fields(inner)
 
 
 _META = set("|*()_")

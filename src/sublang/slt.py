@@ -57,7 +57,7 @@ class SltRep(Record):
                 raise InputError(f"short word {w!r} must be shorter than k={k}")
             if not alphabet.covers(w):
                 raise InputError(f"short word {w!r} not over the alphabet")
-        self._set_fields(k, alphabet, prefixes, interiors, suffixes, short_words)
+        super().__init__(k, alphabet, prefixes, interiors, suffixes, short_words)
 
     def sorted_fields(self) -> tuple[list[str], list[str], list[str], list[str]]:
         s = self.alphabet.sort_words
@@ -121,10 +121,9 @@ class _RepWindows:
 
     def __init__(self, rep: SltRep) -> None:
         self.short = rep.short_words.__contains__
-        self.prefix = rep.prefixes.__contains__
         self.interior = rep.interiors.__contains__
         self.suffix = rep.suffixes.__contains__
-        # a short word is live iff it begins a short word or a prefix window
+        # a word is live iff it begins a short word or a prefix window
         live = {w[:j] for w in rep.short_words | rep.prefixes for j in range(len(w) + 1)}
         self.live = live.__contains__
 
@@ -141,9 +140,9 @@ def _window_moves(k: int, alphabet: Alphabet, sets):
         w, kind = node
         if kind == _SHORT:
             w += symbols[i]
-            if len(w) < k:
-                return (w, _SHORT) if sets.live(w) else _DEAD
-            return (w, _FIRST) if sets.prefix(w) else _DEAD
+            if not sets.live(w):  # at k letters: not a prefix window
+                return _DEAD
+            return (w, _SHORT) if len(w) < k else (w, _FIRST)
         # the window w now has a symbol on each side, so it is interior
         if kind == _LATER and not sets.interior(w):
             return _DEAD

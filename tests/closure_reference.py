@@ -70,7 +70,7 @@ def is_commutative(d: Dfa) -> Verdict:
                 nfa.add_edge(pre[q], c, pre[d.transitions[q][i]])
                 nfa.add_edge(post[q], c, post[d.transitions[q][i]])
             # guess: the original word read `a b` where this word shows `b a`
-            target = d.step(d.step(q, a), b)
+            target = d.transitions[d.transitions[q][d.alphabet.index(a)]][d.alphabet.index(b)]
             nfa.add_edge(pre[q], b, mid[target])
             nfa.add_edge(mid[target], a, post[target])
         nfa.starts = {pre[d.start]}
@@ -107,7 +107,7 @@ def is_circular(d: Dfa) -> Verdict:
                 nfa.add_edge(states[q], c, states[d.transitions[q][i]])
             if q in d.accepting:
                 nfa.add_edge(states[q], a, end)
-        nfa.starts.add(states[d.step(d.start, a)])
+        nfa.starts.add(states[d.transitions[d.start][d.alphabet.index(a)]])
     witness = _inclusion_witness(nfa.determinize(), d)
     if witness is None:
         return Verdict("yes")

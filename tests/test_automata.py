@@ -14,7 +14,6 @@ from sublang.automata import (
     are_equivalent,
     complement,
     difference,
-    dfa_for_words,
     enumerate_upto,
     factor_sets,
     find_pump,
@@ -261,8 +260,3 @@ def test_accepted_words_keep_a_polynomial_language_in_the_level_search(monkeypat
     assert sum(1 for _ in accepted_words(compile_regex("(a|b)*", AB), 16)) == 2**17 - 1
     assert walks == [14, 15, 16]
 
-
-def test_dfa_for_words_roundtrip():
-    words = ["", "ab", "ba", "aab"]
-    d = dfa_for_words(AB, words)
-    assert enumerate_upto(d, 4) == sorted(words, key=AB.word_key)

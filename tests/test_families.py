@@ -444,7 +444,7 @@ def test_classify_hierarchy_witness_records_all_families():
 
 def test_classify_report_order_and_rendering():
     report = classify(compile_regex("(a|b)*", AB), source_expr=parse_regex("(a|b)*"))
-    names = list(report.families)
+    names = [name for name, _ in report.entries]
     assert names[:12] == [
         "FIN", "MON", "NIL", "COMB", "DEF", "SUF",
         "ORD", "COMM", "CIRC", "NC", "PS", "UF",

@@ -2,6 +2,7 @@ import pytest
 
 from sublang.automata import Alphabet, are_equivalent
 from sublang.cli import main
+from sublang.grammars import Context, ContextualGrammar, LanguageHandle, SelectionPair
 from sublang.formats import (
     FormatError,
     parse_dfa_text,
@@ -14,7 +15,7 @@ from sublang.formats import (
 )
 from sublang.regexes import compile_regex
 from sublang.slt import make_rep
-from sublang.witnesses import ec35_grammar, ic32_grammar, ic33_grammars
+from sublang.witnesses import ec35_grammar, ic32_grammar, ic33_grammars, ic35_table_dfa
 
 AB = Alphabet.of("ab")
 
@@ -182,9 +183,35 @@ def test_grammar_roundtrip_regex_selectors(tmp_path):
 
 
 def test_grammar_roundtrip_slt_selector_via_aux_files(tmp_path):
-    g, _ = ic33_grammars(2)
+    slt_sourced, _ = ic33_grammars(2)
+    pair = SelectionPair(LanguageHandle.from_dfa(ic35_table_dfa()), (Context("a", "b"),))
+    dfa_sourced = ContextualGrammar(AB, (pair,), ("ab",))
+    for name, g in (("slt", slt_sourced), ("dfa", dfa_sourced)):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "g.cg"
+        path.write_text(render_grammar(g, aux_dir=str(tmp_path / name)), encoding="utf-8")
+        assert f"  select {name} selector0.{name}\n" in path.read_text(encoding="utf-8")
+        again = parse_grammar_file(str(path))
+        assert again.axioms == g.axioms
+        assert are_equivalent(again.pairs[0].selector.dfa, g.pairs[0].selector.dfa).equal
+        assert again.pairs[0].selector.alphabet == g.pairs[0].selector.alphabet
+
+
+@pytest.mark.parametrize("kind", ["dfa", "slt"])
+def test_select_alphabet_must_match_a_selector_file(tmp_path, capsys, kind):
+    # both selector files are over `a b`: a*b as a DFA, a+b as window sets
+    selector = render_dfa(compile_regex("a*b", AB)) if kind == "dfa" else render_slt(make_rep(1, AB, "a", "a", "b"))
+    (tmp_path / f"sel.{kind}").write_text(selector, encoding="utf-8")
+    text = f"alphabet a b c\naxiom b\npair\n  select {kind} sel.{kind}\n  select-alphabet {{}}\n  context c , c\nend\n"
+    g = parse_grammar_text(text.format("a b"), "f", base_dir=str(tmp_path))
+    assert g.pairs[0].selector.alphabet == AB
+    for symbols in ("c", "b a"):
+        with pytest.raises(FormatError) as exc:
+            parse_grammar_text(text.format(symbols), "f", base_dir=str(tmp_path))
+        assert str(exc.value) == f"f:3: select-alphabet {symbols} differs from the selector file's alphabet a b"
     path = tmp_path / "g.cg"
-    path.write_text(render_grammar(g, aux_dir=str(tmp_path)), encoding="utf-8")
-    again = parse_grammar_file(str(path))
-    assert again.axioms == g.axioms
-    assert are_equivalent(again.pairs[0].selector.dfa, g.pairs[0].selector.dfa).equal
+    path.write_text(text.format("c"), encoding="utf-8")
+    assert main(["generate", "--grammar", str(path), "--mode", "in", "--max-len", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "select-alphabet c differs" in captured.err

@@ -67,7 +67,7 @@ def test_the_kernel_walks_the_selector_automaton_it_is_given():
     # distances are those of this automaton, so steps and checks are the
     # heap reference's
     cycle = Dfa(Alphabet.of("a"), 4, 0, frozenset({1, 3}), ((1,), (2,), (3,), (0,)))
-    sel = LanguageHandle(cycle.alphabet, cycle, cycle)
+    sel = LanguageHandle(cycle, cycle)
     g = ContextualGrammar(AB, (SelectionPair(sel, (Context("b", "b"),)),), ("aaaa",))
     for w in ("", "a", "aaaa", "aabaaa"):
         assert _successors(_step_plan(g), "in", w) == [y for y, _ in generation_reference._internal_steps(g, w)]

@@ -26,7 +26,6 @@ from sublang.automata import (
     coaccessible_states,
     complement,
     difference,
-    dfa_for_words,
     enumerate_upto,
     factor_sets,
     find_pump,
@@ -63,7 +62,7 @@ from sublang.grammars import (
     internal_successors,
     validate_grammar,
 )
-from sublang.regexes import RegexAst, to_nfa
+from sublang.regexes import Empty, RegexAst, compile_regex, to_nfa
 from sublang.slt import canonical_rep, make_rep, slt_membership, slt_to_dfa
 from sublang.witnesses import build_witness, default_witness_ids
 
@@ -444,7 +443,8 @@ def test_shared_graph_searches_agree_with_their_former_copies(alphabet, minimal,
     d1, d2 = (data.draw(dfas(9, alphabet)) for _ in range(2))
     if minimal:
         d1, d2 = minimize(d1), minimize(d2)
-    finite = dfa_for_words(alphabet, data.draw(st.lists(st.text("".join(alphabet), max_size=7), max_size=5)))
+    words = data.draw(st.lists(st.text("".join(alphabet), max_size=7), max_size=5))
+    finite = compile_regex("|".join(w or "_" for w in words) if words else Empty(), alphabet)
     for d in (d1, d2, finite):
         assert coaccessible_states(d) == graph_reference.coaccessible_states(d)
         assert enumerate_upto(d, 7) == graph_reference.enumerate_upto(d, 7)

@@ -1,10 +1,10 @@
 """The package's records: what they promise, and what importing them costs.
 
 Records read in inner loops (`Alphabet`, `Dfa`, `Context`, `SltRep` and the
-regex nodes) are classes with slots on `automata.Record`; the rest are
-`typing.NamedTuple`s.  Either way a record is immutable, equal by value
-within its type and hashable, and its validation messages are part of the
-CLI's output.
+regex nodes) are classes with slots on `automata.Record`, built from one
+positional value per field; the rest are `typing.NamedTuple`s.  Either way a
+record is immutable, equal by value within its type and hashable, and its
+validation messages are part of the CLI's output.
 """
 
 import os
@@ -16,7 +16,7 @@ import pytest
 import sublang
 from sublang.automata import Alphabet, Dfa, InputError
 from sublang.families import Verdict
-from sublang.grammars import Context, Diagnostic, LanguageHandle, bounded_words
+from sublang.grammars import Context, ContextualGrammar, Diagnostic, LanguageHandle, compare_bounded
 from sublang.regexes import Concat, Empty, Epsilon, Star, Sym, Union
 from sublang.slt import make_rep
 
@@ -100,6 +100,22 @@ def test_records_refuse_assignment(record, field):
         record.extra = None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Context("a"),
+        lambda: Sym(),
+        lambda: Epsilon("a"),
+        lambda: Concat(Sym("a")),
+        lambda: Star(Sym("a"), Sym("b")),
+    ],
+    ids=["Context", "Sym", "Epsilon", "Concat", "Star"],
+)
+def test_records_refuse_the_wrong_number_of_fields(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_alphabet_equality_ignores_its_order_table():
     plain, altered = Alphabet.of("ab"), Alphabet.of("ab")
     object.__setattr__(altered, "order_table", {})
@@ -140,7 +156,14 @@ def test_record_validation_messages(build, message):
 def test_bounded_sources_route_by_kind_not_by_tuple_shape():
     # a named-tuple record is a tuple, but not a word collection
     handle = LanguageHandle.from_regex("ab*")
-    assert bounded_words(handle, 2) == ["a", "ab"]
-    assert bounded_words(("b", "a", "ab"), 1) == ["a", "b"]
+    assert compare_bounded(handle, (), 2).left_only == ("a", "ab")
+    assert compare_bounded(("b", "a", "ab", "a"), (), 1).left_only == ("a", "b")
     with pytest.raises(InputError, match="^cannot enumerate a Diagnostic source$"):
-        bounded_words(Diagnostic("error", "x"), 2)
+        compare_bounded(Diagnostic("error", "x"), (), 2)
+    # a grammar source is a (grammar, mode) pair, and a collection holds strings
+    grammar = ContextualGrammar(AB, (), ("a",))
+    assert compare_bounded((grammar, "in"), ["a"], 2).equal
+    with pytest.raises(InputError, match="^cannot enumerate a tuple source$"):
+        compare_bounded((grammar, "in", "x"), ["a"], 2)
+    with pytest.raises(InputError, match="^cannot enumerate a list source$"):
+        compare_bounded(["a", 1], (), 2)
