@@ -331,12 +331,26 @@ class OrderCertificate(NamedTuple):
 
 def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     """Search a chain of `length` states labeled by dm's states such that
-    every letter map lifts to a monotone map on chain positions.
+    every letter map lifts to a monotone map on chain positions, and no
+    two neighbours carry the same label.
 
     A chain labeling works iff, for every letter, the sequence of image
     labels embeds into the chain as a monotone (non-decreasing) position
     map; leftmost-greedy matching decides that and is restored on
-    backtracking.  Returns the labeling or None.
+    backtracking.  Returns the first such labeling in depth-first order,
+    or None.
+
+    Equal neighbours: a child whose label equals the one just placed is
+    never entered.  Take a cover σ of length L with σ[p] == σ[p+1] and
+    drop position p + 1.  Let g map the old positions onto the new ones
+    (p + 1 to p, later ones down by one) and h embed the new chain into
+    the old one; then g ∘ f_a ∘ h is monotone and respects labels for
+    every letter map f_a, and every label is still used, so the shorter
+    chain is a cover of length L - 1.  A cover of the least length
+    therefore has no equal neighbours: the least length with such a cover
+    is the least length with any cover, and there the first cover in
+    depth-first order is the same with or without the prune.  At length n
+    each label is used once, so the prune never fires there.
 
     Per letter the search keeps `last`, the position the next image label
     is matched from, and the pending image labels not yet matched, with
@@ -376,11 +390,13 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     z the node charges z and the skipped labels below it, and on failure
     it charges the rest.  Once the budget is spent every later trial
     would fail, so the node stops and charges the rest in bulk too.  A
-    pruned child costs nothing beyond its label's unit, so the search
-    finds the same first cover as it would without the position bound
-    and has spent no more budget at any point; its outcome differs only
-    where the search without the bound runs out of budget, and there it
-    may finish instead.
+    pruned child, by the position bound or as an equal neighbour, costs
+    nothing beyond its label's unit, so the search reaches each node
+    having spent no more budget than the search without either prune.
+    Its outcome differs from that search's only where that search runs
+    out of budget (this one may finish instead) or finds a cover with
+    equal neighbours (this one goes on to a later cover or None), which
+    at the least length with a cover cannot happen.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
@@ -404,6 +420,8 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
             return used == every and not any(queue for _, queue, _ in pend)
         room = length - depth - 1
         passing = every & ~used if n - used.bit_count() == room + 1 else every
+        if labels:
+            passing &= ~(1 << labels[-1])  # no two equal neighbours
         for i in range(n_sym):
             queue = pend[i][1]
             if len(queue) == room + 1:
@@ -554,10 +572,13 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     transition monoids); otherwise a failed search is reported as a
     bounded unknown, whose evidence calls the minimal automaton
     unorderable only when length n was searched in full.  The search's
-    position bound (see `_find_monotone_cover`) leaves every search that
-    ends with budget left as it was; only a search that would run out
-    of budget without it can finish instead, with a cover or with
-    `no ordered automaton with <= bound states`.
+    position bound and its equal-neighbour prune (see
+    `_find_monotone_cover`) leave every verdict, evidence string and
+    certificate that the search without them reaches with budget left as
+    it was: lengths are tried upwards, so the first length with a cover
+    is the least one, whose covers have no equal neighbours.  Only a
+    search that would run out of budget without them can finish instead,
+    with a cover or with `no ordered automaton with <= bound states`.
     """
     dm = minimize(d)
     nc = is_noncounting(dm, monoid)

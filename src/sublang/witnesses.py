@@ -57,7 +57,7 @@ def parse_witness_id(text: str) -> tuple[str, int | None]:
             raise InputError(f"witness {name!r} takes no parameter")
         return name, None
     if param is None:
-        raise InputError(f"witness {name!r} needs a parameter, e.g. {name}(1)")
+        raise InputError(f"witness {name!r} needs a parameter, e.g. {name}({witness.params.start})")
     value = int(param)
     if value not in witness.params:
         raise InputError(

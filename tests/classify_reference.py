@@ -4,20 +4,28 @@ The ORD cover search below re-scans the labeled prefix for every pending
 image label and counts distinct labels with a set, and the transition
 monoid stores each transformation as a tuple composed element by
 element.  The package runs the same searches with incremental
-bookkeeping and `str.translate`; they must visit the same nodes in the
-same order, so labels, remaining node budget, monoid elements, words and
-cap exits all agree exactly.  (The package's cover search settles the
-labels a node rules out, and those left once the budget is spent,
-without running them, but charges each one as this search does.)  Both
-searches prune a child by the same position bound, computed here with
-sets.  `cover_search_without_position_bound` is the package's search
-from before that bound, kept verbatim as the bound's own oracle.
+bookkeeping and `str.translate`.  The monoids must agree exactly:
+elements, words and cap exits.  Both cover searches try labels in the
+same depth-first order, charge each label trial one unit of node budget
+and prune a child by the same position bound, computed here with sets;
+the package's search also never places a label next to itself (a cover
+of the least length has no equal neighbours) and settles the labels a
+node rules out, and those left once the budget is spent, without
+running them, but charges each one as this search does.  So at length
+n, where each label is used once, labels and remaining node budget agree
+exactly; at other lengths the package finds this search's labels
+wherever those have no equal neighbours.
+`cover_search_without_position_bound` is the package's search from
+before that bound (and before the equal-neighbour prune), kept verbatim
+as the bound's own oracle.
 
 `is_noncounting`, `is_power_separating` and `is_orderable` below are the
 eager routes: they build the whole monoid before looking at it, and ORD
-runs the chain search from length n.  The package stops at the first
-witness and settles length n by an orientation conflict first; wherever
-the eager route finishes, its verdicts must be the same.
+runs this file's chain search, with neither the orientation conflict
+nor the equal-neighbour prune, from length n.  The package stops at the
+first witness, settles length n by an orientation conflict first and
+skips equal neighbours; wherever the eager route finishes, its verdicts
+must be the same.
 """
 
 from collections import deque
@@ -28,7 +36,6 @@ from sublang.families import (
     OrderCertificate,
     Verdict,
     _cover_to_dfa,
-    _find_monotone_cover,
     verify_order,
 )
 
@@ -317,7 +324,7 @@ def is_orderable(d: Dfa, cap: int = MONOID_CAP) -> Verdict:
     nodes = [_COVER_NODE_BUDGET]
     unorderable = False
     for length in range(n, budget + 1):
-        labels = _find_monotone_cover(dm, length, nodes)
+        labels = find_monotone_cover(dm, length, nodes)
         if labels is None:
             if length == n:
                 unorderable = nodes[0] > 0

@@ -46,6 +46,7 @@ from sublang.families import (
     is_circular,
     is_commutative,
     is_definite,
+    is_orderable,
     is_suffix_closed,
     verify_order,
 )
@@ -144,15 +145,63 @@ def window_set_dfas(draw):
     return minimize(slt_to_dfa(rep))
 
 
+def has_equal_neighbours(labels) -> bool:
+    return any(x == y for x, y in zip(labels, labels[1:]))
+
+
+def assert_cover(dm, labels):
+    """A chain labeled by dm's states uses every state and lifts each letter
+    map to a monotone map on chain positions: checked directly (each
+    letter's image labels match leftmost-greedy, left to right), and by
+    `verify_order` and `are_equivalent` on the automaton it realizes."""
+    assert set(labels) == set(range(dm.n_states))
+    for i in range(len(dm.alphabet)):
+        pos = 0
+        for z in labels:
+            want = dm.transitions[z][i]
+            while pos < len(labels) and labels[pos] != want:
+                pos += 1
+            assert pos < len(labels)
+    cover = _cover_to_dfa(dm, labels)
+    assert verify_order(cover, range(len(labels))) and are_equivalent(cover, dm).equal
+
+
+def assert_prunes_keep_the_search(dm, length, budget, reference):
+    """The package's search against `reference`, a search of the same
+    depth-first order without the equal-neighbour prune.
+
+    The package returns None or a cover (`assert_cover`) with no equal
+    neighbours.  Where the reference ends with budget left, the package
+    finds the reference's labels if those have no equal neighbours
+    (spending no more), None if the reference finds None (spending no
+    more), and otherwise None or a cover later in the same order.  Where
+    the reference runs out, the package may finish either way."""
+    got, want = [budget], [budget]
+    labels = _find_monotone_cover(dm, length, got)
+    ref = reference(dm, length, want)
+    if labels is not None:
+        assert len(labels) == length and not has_equal_neighbours(labels)
+        assert_cover(dm, labels)
+    if want[0] > 0:
+        if ref is None or not has_equal_neighbours(ref):
+            assert labels == ref
+            assert got[0] >= want[0]
+        else:
+            assert labels is None or labels > ref
+    return labels, got[0], ref, want[0]
+
+
 def assert_cover_search_agrees(dm, budgets):
     n = dm.n_states
     conflict = _orientation_conflict(dm)
     for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 1):
         for budget in budgets:
-            got, want = [budget], [budget]
-            labels = _find_monotone_cover(dm, length, got)
-            assert labels == classify_reference.find_monotone_cover(dm, length, want)
-            assert got == want
+            labels, got, ref, want = assert_prunes_keep_the_search(
+                dm, length, budget, classify_reference.find_monotone_cover
+            )
+            if length == n:
+                # each label is used once, so the prune never fires
+                assert (labels, got) == (ref, want)
             # an orientation conflict rules out every order of the minimal
             # automaton, which is what a chain of length n is
             assert not (conflict and length == n and labels is not None)
@@ -167,9 +216,11 @@ def assert_cover_search_agrees(dm, budgets):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(KERNEL_DFAS)
 def test_cover_search_agrees_with_reference(d):
-    """Same labels and same remaining node budget as the rescanning search,
-    for every chain length ORD tries and budgets that run out at
-    different depths (budgets 1, 2 and 7 run out inside one node's labels)."""
+    """The rescanning search, which has the position bound but not the
+    equal-neighbour prune, for every chain length ORD tries and budgets
+    that run out at different depths (budgets 1, 2 and 7 run out inside
+    one node's labels): the same labels and remaining budget at length n,
+    and the relation of `assert_prunes_keep_the_search` at every length."""
     assert_cover_search_agrees(minimize(d), (1, 2, 7, 50, 500, 5000, 40000))
 
 
@@ -186,21 +237,32 @@ def test_cover_search_agrees_with_reference_on_window_sets(dm):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(KERNEL_DFAS.map(minimize), window_set_dfas()))
 def test_position_bound_keeps_every_completed_search(dm):
-    """Wherever the cover search without the position bound ends with budget
-    left, the bounded search returns the same labels (the first cover in
-    the same depth-first order, or None) and spends no more trials: the
-    bound prunes only subtrees that hold no cover."""
+    """Wherever the cover search without the position bound (and without
+    the equal-neighbour prune) ends with budget left, the package returns
+    the same labels (the first cover in the same depth-first order, or
+    None) and spends no more trials whenever those labels have no equal
+    neighbours: the bound prunes only subtrees that hold no cover."""
     for length in range(dm.n_states, max(dm.n_states, 2 * len(dm.alphabet) + 3) + 1):
-        old, new = [40000], [40000]
-        want = classify_reference.cover_search_without_position_bound(dm, length, old)
-        labels = _find_monotone_cover(dm, length, new)
-        if old[0] > 0:
-            assert labels == want
-            assert new[0] >= old[0]
-        elif labels is not None:
-            # found where the search without the bound ran out
-            cover = _cover_to_dfa(dm, labels)
-            assert verify_order(cover, range(length)) and are_equivalent(cover, dm).equal
+        assert_prunes_keep_the_search(dm, length, 40000, classify_reference.cover_search_without_position_bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(KERNEL_DFAS.map(minimize), window_set_dfas()))
+def test_dropping_an_equal_neighbour_keeps_a_cover(dm):
+    """The lemma behind the equal-neighbour prune: dropping one position of
+    an equal-neighbour pair from a cover leaves a cover one shorter.  The
+    covers come from the reference search, which keeps equal neighbours,
+    at every length up to one past the bound ORD tries, and hold hundreds
+    of equal-neighbour pairs over these examples."""
+    n = dm.n_states
+    for length in range(n, max(n, 2 * len(dm.alphabet) + 3) + 2):
+        labels = classify_reference.find_monotone_cover(dm, length, [2000])
+        if labels is None:
+            continue
+        assert_cover(dm, labels)
+        for p in range(length - 1):
+            if labels[p] == labels[p + 1]:
+                assert_cover(dm, labels[: p + 1] + labels[p + 2 :])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -265,6 +327,19 @@ def test_witness_first_routes_agree_with_the_eager_routes(d, cap):
                 if isinstance(want, InputError):
                     assert got.value == "no"
                 assert got == uncapped[tag]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(window_set_dfas())
+def test_ord_agrees_with_the_eager_route_on_window_sets(dm):
+    """ORD gives the eager route's whole verdict (evidence and certificate
+    included) wherever that route finishes, on the inputs whose covers
+    need more states than the minimal automaton: about half of these
+    examples end in a cover longer than n or in a bounded unknown, so
+    the verdicts rest on the searches the equal-neighbour prune cuts."""
+    want = classify_reference.is_orderable(dm)
+    if not want.evidence.startswith("search budget exhausted"):
+        assert is_orderable(dm) == want
 
 
 @SETTINGS

@@ -26,6 +26,7 @@ def test_parse_witness_id():
         "kk(0)": "parameter 0 for 'kk' outside supported range 1..4",
         "kk(9)": "parameter 9 for 'kk' outside supported range 1..4",
         "lk-fin(5)": "parameter 5 for 'lk-fin' outside supported range 1..4",
+        "l-ic-33": "witness 'l-ic-33' needs a parameter, e.g. l-ic-33(2)",
         "l-ic-33(1)": "parameter 1 for 'l-ic-33' outside supported range 2..3",
         "l-abna(1)": "witness 'l-abna' takes no parameter",
         "nope": "unknown witness id 'nope'",
@@ -35,6 +36,13 @@ def test_parse_witness_id():
         with pytest.raises(InputError) as exc:
             parse_witness_id(bad)
         assert str(exc.value) == message, bad
+    # the id each parameterised witness's error hints at parses
+    for name, witness in WITNESSES.items():
+        if witness.params is not None:
+            with pytest.raises(InputError) as exc:
+                parse_witness_id(name)
+            hint = str(exc.value).rsplit("e.g. ", 1)[1]
+            assert parse_witness_id(hint) == (name, witness.params.start)
 
 
 def test_witness_table_entries():
