@@ -372,16 +372,34 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     only trials that find nothing.
 
     Position bound: a child is entered only if, for every letter, the
-    queue's length plus the labels neither placed nor pending in it
-    (`rest & ~waits`, with `waits` the queue's labels as a bit set) fits
-    in `room`.  Queue labels need strictly increasing later positions
-    (neighbours differ and the matching is monotone), and each label not
-    yet placed needs a later position of its own, which holds no queue
-    label unless it is pending.  So the bound prunes only subtrees that
-    hold no cover.  Since len(queue) >= popcount(waits), it also keeps
+    positions after this one (`room`) fit what that letter still needs.
+    Let `rest` be the labels not yet placed and `img` their images under
+    the letter.  Every unplaced label needs a later position of its own,
+    and so does every label in `img` that the letter map cannot send to
+    a position already placed:
+    - queue non-empty: len(queue) + |(rest | img) & ~waits| <= room, with
+      `waits` the queue's labels as a bit set.  Queue labels need strictly
+      increasing later positions (neighbours differ and the matching is
+      monotone).  An unplaced label x will sit at a later position, whose
+      image is matched at or after the queue's tail, so an image label
+      outside the queue needs a position after every queue position, and
+      an unplaced label outside the queue a later position that holds no
+      queue label.  Distinct labels need distinct positions.
+    - queue empty: |rest| + |ends| <= room, with `ends` the placed labels
+      in `img` that occur at no position >= `last`.  The greedy match
+      `last` is the least position that this position's image can take,
+      so the image of every later position lies at or after it, and each
+      label in `ends` needs one more, later, occurrence; `ends` holds no
+      unplaced label.
+    So the bound prunes only subtrees that hold no cover.  It also keeps
     every unused label within reach of the positions left, so a node
     (for any length >= n over a non-empty alphabet) needs no such check
-    of its own.
+    of its own.  `img` is carried per letter and loses δ(z, i) once no
+    unplaced label maps there (`pre`).  `ends` is set to the placed labels in `img` other than z
+    when the queue empties (then `last` is this position), grows by the
+    labels whose last position (`lastpos`) falls before `last` when the
+    greedy match moves it forward, and is kept within `img` minus z.  A
+    trial therefore costs O(|V|) beyond the greedy scan.
 
     The labels tried, their order and each decrement of `node_budget` are
     part of the output contract: a search that runs out of budget is
@@ -391,33 +409,48 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
     it charges the rest.  Once the budget is spent every later trial
     would fail, so the node stops and charges the rest in bulk too.  A
     pruned child, by the position bound or as an equal neighbour, costs
-    nothing beyond its label's unit, so the search reaches each node
-    having spent no more budget than the search without either prune.
-    Its outcome differs from that search's only where that search runs
-    out of budget (this one may finish instead) or finds a cover with
-    equal neighbours (this one goes on to a later cover or None), which
-    at the least length with a cover cannot happen.
+    nothing beyond its label's unit.  Both prunes cut only subtrees that
+    hold no cover, or at the least length hold only covers with equal
+    neighbours, so the search enters a subset of the nodes of the search
+    without them, in the same order, and reaches each node having spent
+    no more budget.  Its outcome differs from that search's only where
+    that search runs out of budget (this one may finish instead) or finds
+    a cover with equal neighbours (this one goes on to a later cover or
+    None), which at the least length with a cover cannot happen.
+
+    Recursion depth: `place` recurses once per position.  At length n
+    the labels on a path are distinct, so reaching depth D charges at
+    least 1 + 2 + ... + D = D(D+1)/2 units, which bounds D by 893 under
+    the budget of 400,000; a longer chain is at most 2|V|+3 positions.
+    Either stays below Python's default recursion limit of 1,000 for
+    alphabets of up to a few hundred letters.
     """
     n = dm.n_states
     n_sym = len(dm.alphabet)
     trans = dm.transitions
     every = (1 << n) - 1
-    # pre[i][q]: bit set of the labels z with trans[z][i] == q
+    # pre[i][q]: bit set of the labels z with trans[z][i] == q;
+    # image[i]: bit set of the labels q with some trans[z][i] == q
     pre = [[0] * n for _ in range(n_sym)]
+    image = [0] * n_sym
     for z in range(n):
         for i, q in enumerate(trans[z]):
             pre[i][q] |= 1 << z
+            image[i] |= 1 << q
     labels: list[int] = []
+    # lastpos[z]: the last position of label z in `labels`
+    lastpos = [-1] * n
     # per letter: (match-from position, pending image labels, collapsed,
-    # and their bit set)
-    pend: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0) for _ in range(n_sym)]
+    # their bit set, the images of the unplaced labels as a bit set, and
+    # the placed ones among those with no position at or after `last`)
+    pend: list[tuple[int, tuple[int, ...], int, int, int]] = [(0, (), 0, image[i], 0) for i in range(n_sym)]
 
     def place(depth: int, used: int) -> bool:
         # used: bit set of the labels in `labels`
         if node_budget[0] <= 0:
             return False
         if depth == length:
-            return used == every and not any(queue for _, queue, _ in pend)
+            return used == every and not any(entry[1] for entry in pend)
         room = length - depth - 1
         passing = every & ~used if n - used.bit_count() == room + 1 else every
         if labels:
@@ -440,12 +473,17 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
                 break
             labels.append(z)
             saved = pend[:]
+            saved_lastpos = lastpos[z]
+            lastpos[z] = depth
             row = trans[z]
             rest = every & ~(used | bit)
+            unplaced = rest.bit_count()
             ok = True
             for i in range(n_sym):
-                last, queue, waits = pend[i]
+                last, queue, waits, img, ends = pend[i]
                 x = row[i]
+                if not pre[i][x] & rest:  # no unplaced label maps to x
+                    img &= ~(1 << x)
                 if queue:
                     if queue[-1] != x:
                         queue += (x,)
@@ -456,22 +494,34 @@ def _find_monotone_cover(dm: Dfa, length: int, node_budget: list[int]):
                         queue = queue[1:]
                         if z not in queue:
                             waits ^= bit
+                        if not queue:
+                            ends = used
                 else:
                     # leftmost-greedy: the first x at or after `last`
                     try:
-                        last = labels.index(x, last)
+                        match = labels.index(x, last)
                     except ValueError:
                         queue = (x,)
                         waits = 1 << x
-                # position bound: each pending label, and each unused label
-                # not pending, needs a later position of its own
-                if len(queue) + (rest & ~waits).bit_count() > room:
+                    else:
+                        for y in labels[last:match]:
+                            if lastpos[y] < match:
+                                ends |= 1 << y
+                        last = match
+                # position bound (see the docstring)
+                if queue:
+                    need = len(queue) + ((rest | img) & ~waits).bit_count()
+                else:
+                    ends &= img & ~bit
+                    need = unplaced + ends.bit_count()
+                if need > room:
                     ok = False
                     break
-                pend[i] = (last, queue, waits)
+                pend[i] = (last, queue, waits, img, ends)
             if ok and place(depth + 1, used | bit):
                 return True
             labels.pop()
+            lastpos[z] = saved_lastpos
             pend[:] = saved
         node_budget[0] -= n - tried
         return False
@@ -572,13 +622,16 @@ def is_orderable(d: Dfa, monoid: TransitionMonoid | None = None) -> Verdict:
     transition monoids); otherwise a failed search is reported as a
     bounded unknown, whose evidence calls the minimal automaton
     unorderable only when length n was searched in full.  The search's
-    position bound and its equal-neighbour prune (see
+    position bound, which counts the later positions that the pending
+    image labels, the unplaced labels and the images of the unplaced
+    labels still need, and its equal-neighbour prune (see
     `_find_monotone_cover`) leave every verdict, evidence string and
     certificate that the search without them reaches with budget left as
-    it was: lengths are tried upwards, so the first length with a cover
-    is the least one, whose covers have no equal neighbours.  Only a
-    search that would run out of budget without them can finish instead,
-    with a cover or with `no ordered automaton with <= bound states`.
+    it was: neither cuts a subtree that holds a cover, and lengths are
+    tried upwards, so the first length with a cover is the least one,
+    whose covers have no equal neighbours.  Only a search that would run
+    out of budget without them can finish instead, with a cover or with
+    `no ordered automaton with <= bound states`.
     """
     dm = minimize(d)
     nc = is_noncounting(dm, monoid)

@@ -18,35 +18,37 @@ class FormatError(InputError):
     """Malformed input file; message carries source name and line number."""
 
 
-def word_from_token(token: str, alphabet: Alphabet, where: str) -> str:
+def word_from_token(token: str, alphabet: Alphabet, source: str, lineno: int) -> str:
     word = "" if token == EMPTY_TOKEN else token
     if not alphabet.covers(word):
-        raise FormatError(f"{where}: word {token!r} not over alphabet {''.join(alphabet.symbols)!r}")
+        raise FormatError(f"{source}:{lineno}: word {token!r} not over alphabet {''.join(alphabet.symbols)!r}")
     return word
 
 
-def _logical_lines(text: str, source: str):
+def _logical_lines(text: str):
+    """(line number, tokens) of each line that is not blank or a comment.
+    Errors name their line as `source:lineno`, built only when raised."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line.split(), f"{source}:{lineno}"
+            yield lineno, line.split()
 
 
-def _once(kind: str, seen: set[str], where: str) -> None:
+def _once(kind: str, seen: set[str], source: str, lineno: int) -> None:
     """Note a line that sets one value; a second such line is an error."""
     if kind in seen:
-        raise FormatError(f"{where}: duplicate {kind} line")
+        raise FormatError(f"{source}:{lineno}: duplicate {kind} line")
     seen.add(kind)
 
 
-def _alphabet_from_tokens(tokens: list[str], where: str) -> Alphabet:
+def _alphabet_from_tokens(tokens: list[str], source: str, lineno: int) -> Alphabet:
     symbols = [c for tok in tokens for c in tok]
     if not symbols:
-        raise FormatError(f"{where}: alphabet line lists no symbols")
+        raise FormatError(f"{source}:{lineno}: alphabet line lists no symbols")
     try:
         return Alphabet.of(symbols)
     except InputError as exc:
-        raise FormatError(f"{where}: {exc}") from None
+        raise FormatError(f"{source}:{lineno}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -59,61 +61,61 @@ def parse_dfa_text(text: str, source: str = "<dfa>") -> Dfa:
     start: int | None = None
     accepting: set[int] = set()
     trans: dict[tuple[int, str], int] = {}  # (state, sym) -> target
-    ids: list[tuple[int, str]] = []  # every state id read, with its line; range-checked at the end
+    ids: list[tuple[int, int]] = []  # every state id read, with its line number; range-checked at the end
     seen: set[str] = set()
 
-    def number(tok: str, where: str, what: str) -> int:
+    def number(tok: str, lineno: int, what: str) -> int:
         try:
             return int(tok)
         except ValueError:
-            raise FormatError(f"{where}: expected {what}, got {tok!r}") from None
+            raise FormatError(f"{source}:{lineno}: expected {what}, got {tok!r}") from None
 
-    def state_id(tok: str, where: str) -> int:
-        q = number(tok, where, "a state number")
-        ids.append((q, where))
+    def state_id(tok: str, lineno: int) -> int:
+        q = number(tok, lineno, "a state number")
+        ids.append((q, lineno))
         return q
 
-    for _, tokens, where in _logical_lines(text, source):
+    for lineno, tokens in _logical_lines(text):
         kind, rest = tokens[0], tokens[1:]
         if kind in ("alphabet", "states", "start"):
-            _once(kind, seen, where)
+            _once(kind, seen, source, lineno)
         if kind == "alphabet":
-            alphabet = _alphabet_from_tokens(rest, where)
+            alphabet = _alphabet_from_tokens(rest, source, lineno)
         elif kind == "states":
             if len(rest) != 1:
-                raise FormatError(f"{where}: states line takes one number")
-            n_states = number(rest[0], where, "a number of states")
+                raise FormatError(f"{source}:{lineno}: states line takes one number")
+            n_states = number(rest[0], lineno, "a number of states")
             if n_states < 1:
-                raise FormatError(f"{where}: need at least one state")
+                raise FormatError(f"{source}:{lineno}: need at least one state")
         elif kind == "start":
             if len(rest) != 1:
-                raise FormatError(f"{where}: start line takes one state")
-            start = state_id(rest[0], where)
+                raise FormatError(f"{source}:{lineno}: start line takes one state")
+            start = state_id(rest[0], lineno)
         elif kind == "accept":
-            accepting.update(state_id(t, where) for t in rest)
+            accepting.update(state_id(t, lineno) for t in rest)
         elif kind == "trans":
             if len(rest) != 3:
-                raise FormatError(f"{where}: trans line needs `state symbol state`")
+                raise FormatError(f"{source}:{lineno}: trans line needs `state symbol state`")
             if alphabet is None:
-                raise FormatError(f"{where}: trans before alphabet line")
-            p = state_id(rest[0], where)
+                raise FormatError(f"{source}:{lineno}: trans before alphabet line")
+            p = state_id(rest[0], lineno)
             sym = rest[1]
             if sym not in alphabet:
-                raise FormatError(f"{where}: symbol {sym!r} not in alphabet")
-            q = state_id(rest[2], where)
+                raise FormatError(f"{source}:{lineno}: symbol {sym!r} not in alphabet")
+            q = state_id(rest[2], lineno)
             if (p, sym) in trans:
-                raise FormatError(f"{where}: duplicate transition for (state {p}, {sym!r})")
+                raise FormatError(f"{source}:{lineno}: duplicate transition for (state {p}, {sym!r})")
             trans[(p, sym)] = q
         else:
-            raise FormatError(f"{where}: unknown directive {kind!r}")
+            raise FormatError(f"{source}:{lineno}: unknown directive {kind!r}")
 
     if alphabet is None:
         raise FormatError(f"{source}: missing alphabet line")
     if n_states is None:
         raise FormatError(f"{source}: missing states line")
-    for q, where in ids:
+    for q, lineno in ids:
         if not (0 <= q < n_states):
-            raise FormatError(f"{where}: state {q} out of range 0..{n_states - 1}")
+            raise FormatError(f"{source}:{lineno}: state {q} out of range 0..{n_states - 1}")
     if start is None:
         raise FormatError(f"{source}: missing start line")
     rows = []
@@ -154,24 +156,24 @@ def parse_slt_text(text: str, source: str = "<slt>") -> SltRep:
     sets: dict[str, list[str]] = {"B": [], "I": [], "E": [], "F": []}
     seen: set[str] = set()
 
-    for _, tokens, where in _logical_lines(text, source):
+    for lineno, tokens in _logical_lines(text):
         kind, rest = tokens[0], tokens[1:]
-        _once(kind, seen, where)  # every line of the format sets one value
+        _once(kind, seen, source, lineno)  # every line of the format sets one value
         if kind == "slt":
             if len(rest) != 1 or not rest[0].startswith("k="):
-                raise FormatError(f"{where}: expected `slt k=<number>`")
+                raise FormatError(f"{source}:{lineno}: expected `slt k=<number>`")
             try:
                 k = int(rest[0][2:])
             except ValueError:
-                raise FormatError(f"{where}: bad window length in {rest[0]!r}") from None
+                raise FormatError(f"{source}:{lineno}: bad window length in {rest[0]!r}") from None
         elif kind == "alphabet":
-            alphabet = _alphabet_from_tokens(rest, where)
+            alphabet = _alphabet_from_tokens(rest, source, lineno)
         elif kind in sets:
             if alphabet is None:
-                raise FormatError(f"{where}: window line before alphabet line")
-            sets[kind] = [word_from_token(t, alphabet, where) for t in rest]
+                raise FormatError(f"{source}:{lineno}: window line before alphabet line")
+            sets[kind] = [word_from_token(t, alphabet, source, lineno) for t in rest]
         else:
-            raise FormatError(f"{where}: unknown directive {kind!r}")
+            raise FormatError(f"{source}:{lineno}: unknown directive {kind!r}")
 
     if k is None:
         raise FormatError(f"{source}: missing `slt k=...` line")
@@ -253,60 +255,60 @@ def parse_grammar_text(
             )
         return SelectionPair(handle, tuple(d.contexts), d.family)
 
-    for _, tokens, where in _logical_lines(text, source):
+    for lineno, tokens in _logical_lines(text):
         kind, rest = tokens[0], tokens[1:]
         if kind == "alphabet":
-            _once(kind, seen, where)
-            alphabet = _alphabet_from_tokens(rest, where)
+            _once(kind, seen, source, lineno)
+            alphabet = _alphabet_from_tokens(rest, source, lineno)
         elif kind == "axiom":
             if alphabet is None:
-                raise FormatError(f"{where}: axiom before alphabet line")
+                raise FormatError(f"{source}:{lineno}: axiom before alphabet line")
             if not rest:
-                raise FormatError(f"{where}: axiom line lists no words")
-            axioms.extend(word_from_token(t, alphabet, where) for t in rest)
+                raise FormatError(f"{source}:{lineno}: axiom line lists no words")
+            axioms.extend(word_from_token(t, alphabet, source, lineno) for t in rest)
         elif kind == "pair":
             if draft is not None:
-                raise FormatError(f"{where}: nested pair (missing end?)")
+                raise FormatError(f"{source}:{lineno}: nested pair (missing end?)")
             if alphabet is None:
-                raise FormatError(f"{where}: pair before alphabet line")
-            draft = _PairDraft(where)
+                raise FormatError(f"{source}:{lineno}: pair before alphabet line")
+            draft = _PairDraft(f"{source}:{lineno}")
         elif kind == "end":
             if draft is None:
-                raise FormatError(f"{where}: end without pair")
+                raise FormatError(f"{source}:{lineno}: end without pair")
             pairs.append(finish_pair(draft))
             draft = None
         elif kind == "select":
             if draft is None:
-                raise FormatError(f"{where}: select outside a pair block")
-            _once(kind, draft.seen, where)
+                raise FormatError(f"{source}:{lineno}: select outside a pair block")
+            _once(kind, draft.seen, source, lineno)
             if not rest:
-                raise FormatError(f"{where}: select needs a kind (regex|dfa|slt)")
+                raise FormatError(f"{source}:{lineno}: select needs a kind (regex|dfa|slt)")
             draft.select = (rest[0], " ".join(rest[1:]))
         elif kind == "select-alphabet":
             if draft is None:
-                raise FormatError(f"{where}: select-alphabet outside a pair block")
-            _once(kind, draft.seen, where)
-            draft.select_alphabet = _alphabet_from_tokens(rest, where)
+                raise FormatError(f"{source}:{lineno}: select-alphabet outside a pair block")
+            _once(kind, draft.seen, source, lineno)
+            draft.select_alphabet = _alphabet_from_tokens(rest, source, lineno)
         elif kind == "family":
             if draft is None or len(rest) != 1:
-                raise FormatError(f"{where}: family takes one tag inside a pair block")
-            _once(kind, draft.seen, where)
+                raise FormatError(f"{source}:{lineno}: family takes one tag inside a pair block")
+            _once(kind, draft.seen, source, lineno)
             draft.family = rest[0]
         elif kind == "context":
             if draft is None:
-                raise FormatError(f"{where}: context outside a pair block")
+                raise FormatError(f"{source}:{lineno}: context outside a pair block")
             assert alphabet is not None
             parts = [p.strip() for p in " ".join(rest).split(",")]
             if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FormatError(f"{where}: context syntax is `context <left> , <right>`")
+                raise FormatError(f"{source}:{lineno}: context syntax is `context <left> , <right>`")
             draft.contexts.append(
                 Context(
-                    word_from_token(parts[0], alphabet, where),
-                    word_from_token(parts[1], alphabet, where),
+                    word_from_token(parts[0], alphabet, source, lineno),
+                    word_from_token(parts[1], alphabet, source, lineno),
                 )
             )
         else:
-            raise FormatError(f"{where}: unknown directive {kind!r}")
+            raise FormatError(f"{source}:{lineno}: unknown directive {kind!r}")
 
     if draft is not None:
         raise FormatError(f"{source}: unterminated pair block (missing end)")

@@ -6,15 +6,19 @@ monoid stores each transformation as a tuple composed element by
 element.  The package runs the same searches with incremental
 bookkeeping and `str.translate`.  The monoids must agree exactly:
 elements, words and cap exits.  Both cover searches try labels in the
-same depth-first order, charge each label trial one unit of node budget
-and prune a child by the same position bound, computed here with sets;
-the package's search also never places a label next to itself (a cover
-of the least length has no equal neighbours) and settles the labels a
-node rules out, and those left once the budget is spent, without
-running them, but charges each one as this search does.  So at length
-n, where each label is used once, labels and remaining node budget agree
-exactly; at other lengths the package finds this search's labels
-wherever those have no equal neighbours.
+same depth-first order and charge each label trial one unit of node
+budget.  This search prunes a child by a position bound computed with
+sets: each pending label, and each label neither placed nor pending,
+needs a later position.  The package's bound also counts the images of
+the unplaced labels: those outside the pending queue, and, with an
+empty queue, the placed ones left behind the greedy match.  Neither
+bound cuts a subtree that holds a cover.  The package's search also never
+places a label next to itself (a cover of the least length has no equal
+neighbours) and settles the labels a node rules out, and those left once
+the budget is spent, without running them, but charges each one as this
+search does.  So wherever this search ends with budget left, the package
+finds its labels whenever those have no equal neighbours (always so at
+length n, where each label is used once) and spends no more budget.
 `cover_search_without_position_bound` is the package's search from
 before that bound (and before the equal-neighbour prune), kept verbatim
 as the bound's own oracle.

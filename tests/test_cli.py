@@ -5,6 +5,7 @@ import shlex
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,31 @@ def test_classify_reports_the_monoid_cap(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: transition monoid too large for desk-scale analysis\n"
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_classify_orders_the_minimal_automaton_of_an_a_m_places_from_the_end(capsys, m):
+    """(a|b)*a(a|b)^m has 2^(m+1) minimal states.  The ORD search at length
+    n finds a monotone order of the minimal automaton well within its
+    budget, because its position bound counts the positions that the
+    images of the unplaced labels still need; without that term it ran
+    out of budget and read `unknown ... search budget exhausted`."""
+    expr = "(a|b)*a" + "(a|b)" * m
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--porcelain", "--input", f"regex:{expr}")
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    d = sublang.compile_regex(expr, sublang.Alphabet.of("ab"))
+    report = sublang.classify(d, source_expr=sublang.parse_regex(expr))
+    assert out.splitlines() == report.render_porcelain()
+    assert sublang.implication_violations(report) == []
+    verdict = report.verdict("ORD")
+    assert verdict.value == "yes"
+    assert verdict.evidence.startswith("monotone order on the minimal automaton: q0 <= ")
+    dm = sublang.minimize(d)
+    cert = verdict.payload
+    assert len(cert.labels) == dm.n_states == 2 ** (m + 1)
+    assert sublang.verify_order(cert.dfa, cert.order) and sublang.are_equivalent(cert.dfa, dm).equal
 
 
 def test_a_definite_language_past_the_window_space_gets_a_full_report(capsys, monkeypatch):

@@ -183,8 +183,9 @@ def test_cover_search_stops_once_the_budget_is_spent():
 def test_ord_on_the_prefix_suffix_sample_ends_with_budget_left(monkeypatch):
     """An orientation conflict settles length 8, and the position bound lets
     the search at length 9 end after an exact number of label trials; it
-    ran out of its whole budget without the bound, and spent 16,712 trials
-    with the bound but without the equal-neighbour prune."""
+    ran out of its whole budget without the bound, spent 16,712 trials
+    with the bound but without the equal-neighbour prune, and 12,752 with
+    both but without the images of the unplaced labels in the bound."""
     path = os.path.join(os.path.dirname(__file__), "..", "samples", "prefix-suffix-abc.slt")
     dm = minimize(slt_to_dfa(parse_slt_file(path)))
     assert dm.n_states == 8 and _orientation_conflict(dm)
@@ -199,7 +200,7 @@ def test_ord_on_the_prefix_suffix_sample_ends_with_budget_left(monkeypatch):
     assert is_orderable(dm) == Verdict(
         "unknown", bound=9, evidence="no ordered automaton with <= 9 states; minimal automaton unorderable"
     )
-    assert searched == [(9, None, _COVER_NODE_BUDGET - 12_752)]
+    assert searched == [(9, None, _COVER_NODE_BUDGET - 3_280)]
 
 
 def test_is_orderable_certificates_verify(corpus):

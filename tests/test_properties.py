@@ -149,19 +149,27 @@ def has_equal_neighbours(labels) -> bool:
     return any(x == y for x, y in zip(labels, labels[1:]))
 
 
-def assert_cover(dm, labels):
-    """A chain labeled by dm's states uses every state and lifts each letter
-    map to a monotone map on chain positions: checked directly (each
-    letter's image labels match leftmost-greedy, left to right), and by
-    `verify_order` and `are_equivalent` on the automaton it realizes."""
-    assert set(labels) == set(range(dm.n_states))
+def is_cover(dm, labels) -> bool:
+    """Whether a chain labeled by dm's states uses every state and lifts
+    each letter map to a monotone map on chain positions, checked directly:
+    each letter's image labels match leftmost-greedy, left to right."""
+    if set(labels) != set(range(dm.n_states)):
+        return False
     for i in range(len(dm.alphabet)):
         pos = 0
         for z in labels:
             want = dm.transitions[z][i]
             while pos < len(labels) and labels[pos] != want:
                 pos += 1
-            assert pos < len(labels)
+            if pos == len(labels):
+                return False
+    return True
+
+
+def assert_cover(dm, labels):
+    """`is_cover`, and `verify_order` and `are_equivalent` on the automaton
+    the labeling realizes."""
+    assert is_cover(dm, labels)
     cover = _cover_to_dfa(dm, labels)
     assert verify_order(cover, range(len(labels))) and are_equivalent(cover, dm).equal
 
@@ -199,9 +207,6 @@ def assert_cover_search_agrees(dm, budgets):
             labels, got, ref, want = assert_prunes_keep_the_search(
                 dm, length, budget, classify_reference.find_monotone_cover
             )
-            if length == n:
-                # each label is used once, so the prune never fires
-                assert (labels, got) == (ref, want)
             # an orientation conflict rules out every order of the minimal
             # automaton, which is what a chain of length n is
             assert not (conflict and length == n and labels is not None)
@@ -216,11 +221,13 @@ def assert_cover_search_agrees(dm, budgets):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(KERNEL_DFAS)
 def test_cover_search_agrees_with_reference(d):
-    """The rescanning search, which has the position bound but not the
-    equal-neighbour prune, for every chain length ORD tries and budgets
-    that run out at different depths (budgets 1, 2 and 7 run out inside
-    one node's labels): the same labels and remaining budget at length n,
-    and the relation of `assert_prunes_keep_the_search` at every length."""
+    """The rescanning search, which has the position bound without the
+    images of the unplaced labels and without the equal-neighbour prune,
+    for every chain length ORD tries and budgets that run out at different
+    depths (budgets 1, 2 and 7 run out inside one node's labels): the
+    relation of `assert_prunes_keep_the_search` at every length, which at
+    length n is the same labels and no more budget spent wherever the
+    reference ends with budget left."""
     assert_cover_search_agrees(minimize(d), (1, 2, 7, 50, 500, 5000, 40000))
 
 
@@ -232,6 +239,21 @@ def test_cover_search_agrees_with_reference_on_window_sets(dm):
     budget 1000 runs out deep in a few of them."""
     assert dm.n_states <= 16
     assert_cover_search_agrees(dm, (1000, 5000, 40000))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(dfas(4, Alphabet.of("a")), dfas(4)))
+def test_cover_search_finds_a_cover_exactly_when_one_exists(d):
+    """An oracle that shares nothing with the search: every labeling of a
+    chain of each length from n to 6 with no two equal neighbours, in
+    lexicographic order, checked by `is_cover`.  With an unbounded budget
+    the search returns the first of them that is a cover, or None when
+    none is; so no prune cuts a subtree that holds a cover."""
+    n = d.n_states
+    for length in range(n, 7):
+        chains = itertools.product(range(n), repeat=length)
+        want = next((c for c in chains if not has_equal_neighbours(c) and is_cover(d, c)), None)
+        assert _find_monotone_cover(d, length, [10**9]) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
