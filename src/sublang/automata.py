@@ -159,10 +159,13 @@ class Dfa(Record):
     States are 0..n_states-1; `transitions[state][symbol index]` is the
     target state.  `minimal` promises that the DFA is minimal (all states
     reachable and pairwise distinguishable) and canonically numbered, so
-    minimize() returns it unchanged.
+    minimize() returns it unchanged.  `_windows` holds the DFA's
+    `LanguageWindows` analysis once `LanguageWindows.of` has made it; like
+    `Alphabet._index`, it stays out of equality, hash and repr.
     """
 
-    __slots__ = _fields = ("alphabet", "n_states", "start", "accepting", "transitions", "minimal")
+    _fields = ("alphabet", "n_states", "start", "accepting", "transitions", "minimal")
+    __slots__ = (*_fields, "_windows")
 
     def __init__(
         self,
@@ -571,7 +574,7 @@ def find_pump(d: Dfa) -> tuple[str, str, str] | None:
 
 
 class LanguageWindows:
-    """The canonical window sets of L = L(d), at any width, and its short words.
+    """The canonical window sets of L = L(d), at every width, and its short words.
 
     Four state sets of d decide them: reach (reachable states), coacc
     (states with a path to acceptance), reach+ = {d(q, a) : q in reach, a
@@ -587,21 +590,58 @@ class LanguageWindows:
     is in coacc; at exactly the width, that is the prefix-window rule.
 
     `prefix_state`, `interior_image` and `suffix_image` apply the three
-    rules to the state or image a walk has already computed.  `interior`,
-    `suffix`, `short` and `live` take the word itself and remember their
-    answers; `short` and `live` expect to be asked about each proper
-    prefix of a word before the word.
+    rules to the state or image a walk has already computed.
+
+    The rest serves the window automaton of `slt._window_moves`, whose
+    nodes carry keys of this analysis.  A window's key is its chain: the
+    interned pair (image of reach+, image of reach) under the window,
+    linked to the chain of the window minus its first letter, down to the
+    chain of the empty window.  So a chain holds the images under every
+    suffix of its window, and every later window's images are some of
+    these under the letters read since: two windows with equal chains pass
+    the same interior and suffix tests after every further word, and the
+    walk meets them as one node.  A short word u's key is (d(s, u), chain
+    of u).  `extend` and `slide` cost O(1) amortized, since each (chain,
+    letter) and each (pair, letter) move is built once.  `of(d)` keeps one
+    analysis per DFA, so every width and every call on d share its chains.
     """
 
     def __init__(self, d: Dfa) -> None:
-        self._d = d
+        # d's parts, not d: `of` keeps the analysis on d, with no cycle
+        self._trans = trans = d.transitions
+        self._accepting = d.accepting
         self.reach = reach = reachable_states(d)
         self.coacc = coacc = coaccessible_states(d)
-        self.reach_plus = {t for q in reach for t in d.transitions[q]}
-        self.coacc_plus = {q for q in range(d.n_states) if any(t in coacc for t in d.transitions[q])}
-        self._states = {"": d.start}  # d(s, u) of the words asked about
-        self._interiors: dict[str, bool] = {}
-        self._suffixes: dict[str, bool] = {}
+        self.reach_plus = {t for q in reach for t in trans[q]}
+        self.coacc_plus = {q for q in range(d.n_states) if any(t in coacc for t in trans[q])}
+        self._blank = [None] * len(d.alphabet)  # a new pair's or chain's moves
+        # pairs by number: (image of reach+, image of reach), and their moves
+        self._pair_index: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+        self._pair_images: list[tuple[frozenset[int], frozenset[int]]] = []
+        self._pair_moves: list[list[int | None]] = []
+        # chains by number: head pair, tail chain (None under the empty
+        # window's), the window's interior and suffix tests, and its moves
+        self._chain_index: dict[tuple[int, int | None], int] = {}
+        self._heads: list[int] = []
+        self._tails: list[int | None] = []
+        self._interiors: list[bool] = []
+        self._suffixes: list[bool] = []
+        self._chain_moves: list[list[int | None]] = []
+        # the tests of a window's key, its chain
+        self.interior = self._interiors.__getitem__
+        self.suffix = self._suffixes.__getitem__
+        self._empty = self._chain(self._pair(frozenset(self.reach_plus), frozenset(reach)), None)
+        self.start = (d.start, self._empty)
+
+    @classmethod
+    def of(cls, d: Dfa) -> "LanguageWindows":
+        """The analysis of d, made on the first call and kept on d."""
+        try:
+            return d._windows  # type: ignore[attr-defined]
+        except AttributeError:
+            windows = cls(d)
+            object.__setattr__(d, "_windows", windows)
+            return windows
 
     def prefix_state(self, q: int) -> bool:
         return q in self.coacc
@@ -610,40 +650,68 @@ class LanguageWindows:
         return not image.isdisjoint(self.coacc_plus)
 
     def suffix_image(self, image: set[int]) -> bool:
-        return not image.isdisjoint(self._d.accepting)
+        return not image.isdisjoint(self._accepting)
 
-    def _image(self, states: set[int], w: str) -> set[int]:
-        trans = self._d.transitions
-        index = self._d.alphabet.index
-        for c in w:
-            i = index(c)
-            states = {trans[q][i] for q in states}
-        return states
+    def _pair(self, plus: frozenset[int], every: frozenset[int]) -> int:
+        p = self._pair_index.get((plus, every))
+        if p is None:
+            p = self._pair_index[plus, every] = len(self._pair_images)
+            self._pair_images.append((plus, every))
+            self._pair_moves.append(self._blank[:])
+        return p
 
-    def _state(self, u: str) -> int:
-        q = self._states.get(u)
-        if q is None:
-            d = self._d
-            q = self._states[u] = d.transitions[self._states[u[:-1]]][d.alphabet.index(u[-1])]
-        return q
+    def _chain(self, head: int, tail: int | None) -> int:
+        c = self._chain_index.get((head, tail))
+        if c is None:
+            c = self._chain_index[head, tail] = len(self._heads)
+            plus, every = self._pair_images[head]
+            self._heads.append(head)
+            self._tails.append(tail)
+            self._interiors.append(self.interior_image(plus))
+            self._suffixes.append(self.suffix_image(every))
+            self._chain_moves.append(self._blank[:])
+        return c
 
-    def short(self, u: str) -> bool:
-        return self._state(u) in self._d.accepting
+    def _pair_move(self, p: int, i: int) -> int:
+        t = self._pair_moves[p][i]
+        if t is None:
+            trans = self._trans
+            plus, every = self._pair_images[p]
+            t = self._pair_moves[p][i] = self._pair(
+                frozenset([trans[q][i] for q in plus]), frozenset([trans[q][i] for q in every])
+            )
+        return t
 
-    def live(self, u: str) -> bool:
-        return self.prefix_state(self._state(u))
+    def _grow(self, c: int, i: int) -> int:
+        """The chain of c's window followed by symbol i.  The chains down
+        c's tail that have no move on i yet get one, from the bottom up."""
+        moves, tails = self._chain_moves, self._tails
+        path = []
+        while c is not None and moves[c][i] is None:
+            path.append(c)
+            c = tails[c]
+        t = self._empty if c is None else moves[c][i]
+        for c in reversed(path):
+            t = moves[c][i] = self._chain(self._pair_move(self._heads[c], i), t)
+        return t  # type: ignore[return-value]
 
-    def interior(self, w: str) -> bool:
-        hit = self._interiors.get(w)
-        if hit is None:
-            hit = self._interiors[w] = self.interior_image(self._image(self.reach_plus, w))
-        return hit
+    def extend(self, key: tuple[int, int], i: int, full: bool) -> tuple[int, int] | int | None:
+        """The key after symbol i of a live short word's key (q, chain):
+        None if the longer word is not live, its chain if it fills the
+        width, else its own (state, chain) key."""
+        q = self._trans[key[0]][i]
+        if q not in self.coacc:
+            return None
+        c = self._grow(key[1], i)
+        return c if full else (q, c)
 
-    def suffix(self, w: str) -> bool:
-        hit = self._suffixes.get(w)
-        if hit is None:
-            hit = self._suffixes[w] = self.suffix_image(self._image(self.reach, w))
-        return hit
+    def slide(self, c: int, i: int) -> int:
+        """The chain of the window after symbol i: c's window minus its
+        first letter, plus the symbol."""
+        return self._grow(self._tails[c], i)
+
+    def short(self, key: tuple[int, int]) -> bool:
+        return key[0] in self._accepting
 
 
 def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
@@ -662,7 +730,7 @@ def factor_sets(d: Dfa, k: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple
     if k < 1:
         raise InputError("window length must be >= 1")
     check_window_space(d.alphabet, k)
-    lw = LanguageWindows(d)
+    lw = LanguageWindows.of(d)
     trans, symbols = d.transitions, d.alphabet.symbols
     starts: list[str] = []
     interiors: list[str] = []

@@ -275,9 +275,11 @@ def generate_bounded(
     Every kept step strictly lengthens the word, so the closure runs by
     length layers: a layer is complete once the shorter ones are expanded,
     is sorted once, and its words are expanded in order, each once.
-    The kernel builds only the steps within max_len, and check_invariants
-    has it check each of them; the membership of a selected subword is
-    decided once per (pair, subword) in the call.
+    The kernel builds only the steps within max_len (it drops each
+    context longer than the room left), so no step needs a length test
+    here; check_invariants has it check each step it builds, and the
+    membership of a selected subword is decided once per (pair, subword)
+    in the call.
     """
     if max_len < 0:
         raise InputError("max_len must be >= 0")
@@ -304,7 +306,7 @@ def generate_bounded(
                 raise StepCapExceeded(g.alphabet.sort_words(seen), expansions)
             expansions += 1
             for y in _successors(plan, mode, w, max_len, check_invariants):
-                if len(y) <= max_len and y not in seen:
+                if y not in seen:
                     seen.add(y)
                     layers[len(y)].append(y)
         out.extend(layer)

@@ -19,7 +19,6 @@ from .automata import (
     InputError,
     LanguageWindows,
     Record,
-    are_equivalent,
     check_window_space,
     clamp_window_width,
     enumerate_upto,
@@ -105,70 +104,82 @@ def slt_membership(rep: SltRep, word: str) -> bool:
     return True
 
 
-# Window-automaton nodes: (u, _SHORT) after a short word u (|u| < k);
-# (w, _FIRST) after exactly k symbols, w being the prefix window; (w, _LATER)
-# after more than k symbols, w being the last window; _DEAD once no
-# extension can be accepted.  The start is ("", _SHORT).  `_window_moves`
-# gives the moves and the acceptance test of the nodes, which `explore` and
-# `least_word` walk as an implicit graph.
-_SHORT, _FIRST, _LATER = 0, 1, 2
+# The window automaton of width k: a node is (key, n) after n letters, n
+# counted up to k + 1, or _DEAD once no extension can be accepted.  The key
+# stands for the short word read (n < k), the prefix window (n = k) or the
+# last window (n = k + 1).  `_window_moves` gives the moves and the
+# acceptance test of the nodes, which `explore` and `least_word` walk as an
+# implicit graph.
 _DEAD = None
 
 
 class _RepWindows:
-    """The membership tests of `automata.LanguageWindows`, read off a
-    window-set representation."""
+    """The window-automaton keys of a window-set representation: each short
+    word or window is its own key, tested by membership in the sets."""
 
     def __init__(self, rep: SltRep) -> None:
+        self.start = ""
+        self._symbols = rep.alphabet.symbols
         self.short = rep.short_words.__contains__
         self.interior = rep.interiors.__contains__
         self.suffix = rep.suffixes.__contains__
         # a word is live iff it begins a short word or a prefix window
-        live = {w[:j] for w in rep.short_words | rep.prefixes for j in range(len(w) + 1)}
-        self.live = live.__contains__
+        self._live = {w[:j] for w in rep.short_words | rep.prefixes for j in range(len(w) + 1)}
+
+    def extend(self, u: str, i: int, full: bool) -> str | None:
+        u += self._symbols[i]
+        return u if u in self._live else None
+
+    def slide(self, w: str, i: int) -> str:
+        return w[1:] + self._symbols[i]
 
 
-def _window_moves(k: int, alphabet: Alphabet, sets):
-    """(step, accepts) of the window automaton whose windows `sets` tests:
-    `step(node, i)` is the node that symbol i leads to, and `accepts(node)`
-    whether the word read so far is in the language."""
-    symbols = alphabet.symbols
+def _window_moves(k: int, windows):
+    """(start, step, accepts) of the window automaton of width k over
+    `windows`, a `_RepWindows` or an `automata.LanguageWindows`.  `start`
+    is the node of the empty word, `step(node, i)` the node that symbol i
+    leads to, and `accepts(node)` whether the word read so far is in the
+    language.  `windows` supplies the keys: `start`, the empty word's key;
+    `extend(key, i, full)`, a short word's key after symbol i, or None if
+    that word begins no word of the language (`full` when it fills the
+    width); `slide(key, i)`, the next window's key; and the tests `short`,
+    `interior` and `suffix` of a key."""
+    extend, slide = windows.extend, windows.slide
+    short, interior, suffix = windows.short, windows.interior, windows.suffix
 
-    def step(node: tuple[str, int] | None, i: int) -> tuple[str, int] | None:
+    def step(node, i: int):
         if node is _DEAD:
             return _DEAD
-        w, kind = node
-        if kind == _SHORT:
-            w += symbols[i]
-            if not sets.live(w):  # at k letters: not a prefix window
-                return _DEAD
-            return (w, _SHORT) if len(w) < k else (w, _FIRST)
-        # the window w now has a symbol on each side, so it is interior
-        if kind == _LATER and not sets.interior(w):
+        key, n = node
+        if n < k:
+            key = extend(key, i, n + 1 == k)
+            return _DEAD if key is None else (key, n + 1)
+        # past the prefix window, the window has a symbol on each side: it is interior
+        if n > k and not interior(key):
             return _DEAD
-        return (w[1:] + symbols[i], _LATER)
+        return (slide(key, i), k + 1)
 
-    def accepts(node: tuple[str, int] | None) -> bool:
+    def accepts(node) -> bool:
         if node is _DEAD:
             return False
-        w, kind = node
-        return sets.short(w) if kind == _SHORT else sets.suffix(w)
+        key, n = node
+        return short(key) if n < k else suffix(key)
 
-    return step, accepts
+    return (windows.start, 0), step, accepts
 
 
 def slt_to_dfa(rep: SltRep) -> Dfa:
     """Minimal DFA accepting exactly the represented language.
 
     Sliding-window construction: `explore` numbers the window-automaton
-    nodes reachable from ("", _SHORT), where a node is a short word, or the
-    most recent window plus whether that window is still the word's own
+    nodes reachable from the empty word's, where a node is a short word, or
+    the most recent window plus whether that window is still the word's own
     prefix.  Short words that begin no short word and no prefix window go
     straight to the dead node.
     """
     check_window_space(rep.alphabet, rep.k)
-    step, accepts = _window_moves(rep.k, rep.alphabet, _RepWindows(rep))
-    nodes, rows = explore(("", _SHORT), step, len(rep.alphabet))
+    start, step, accepts = _window_moves(rep.k, _RepWindows(rep))
+    nodes, rows = explore(start, step, len(rep.alphabet))
     accepting = frozenset(j for j, node in enumerate(nodes) if accepts(node))
     return minimize(Dfa(rep.alphabet, len(nodes), 0, accepting, tuple(rows)))
 
@@ -198,31 +209,28 @@ def is_slt_k(d: Dfa, k: int) -> SltKResult:
 
     L is k-testable iff it equals the language of its canonical window sets
     (`canonical_rep`).  One `least_word` walk over pairs (window-automaton
-    node, state of d), from (("", _SHORT), start), compares the two, reading
-    the window sets off d as it goes, so a "no" visits only the words up to
-    its witness: the length-lex least word in the symmetric difference, as
-    `are_equivalent` names it.
-    Only a "yes" builds the canonical sets, and it checks them once more
-    through `slt_to_dfa` and `are_equivalent`.
+    node, state of d) compares the two, reading the window sets off d as it
+    goes (`LanguageWindows.of(d)`, whose nodes are keyed by the images of
+    reach+ and reach under the window's suffixes and shared by every k), so
+    a "no" visits only the words up to its witness: the length-lex least
+    word in the symmetric difference, as `are_equivalent` names it.  A walk
+    that ends without one has proved that the canonical sets represent L,
+    so a "yes" returns them as its certificate.
     """
     if k < 1:
         raise InputError("window length must be >= 1")
     check_window_space(d.alphabet, k)
-    step, accepts = _window_moves(k, d.alphabet, LanguageWindows(d))
+    start, step, accepts = _window_moves(k, LanguageWindows.of(d))
     trans, accepting = d.transitions, d.accepting
     witness = least_word(
         d.alphabet.symbols,
-        [(("", _SHORT), d.start)],
+        [(start, d.start)],
         lambda pair, i: ((step(pair[0], i), trans[pair[1]][i]),),
         lambda pair: accepts(pair[0]) != (pair[1] in accepting),
     )
     if witness is not None:
         return SltKResult(False, None, witness)
-    rep = canonical_rep(d, k)
-    eq = are_equivalent(slt_to_dfa(rep), d)
-    if not eq.equal:  # pragma: no cover - the walk compared the same languages
-        raise RuntimeError(f"canonical window sets disagree with the walk at {eq.witness!r}")
-    return SltKResult(True, rep, None)
+    return SltKResult(True, canonical_rep(d, k), None)
 
 
 class InferSltResult(NamedTuple):
@@ -262,8 +270,12 @@ def check_k_max(k_max: int | None) -> None:
 def infer_slt(d: Dfa, k_max: int | None = None) -> InferSltResult:
     """Smallest k <= k_max admitting a representation, else a bounded negative.
 
-    A cap past the window space (`check_window_space`) is lowered to the
-    widest window length it allows, and the result reports the cap searched.
+    One `is_slt_k` call per k, in turn.  The calls share d's one window
+    analysis (`LanguageWindows.of`), so the chains that key the window
+    nodes of width k are the tails of those of width k + 1 and each is
+    built once for the whole sweep.  A cap past the window space
+    (`check_window_space`) is lowered to the widest window length it
+    allows, and the result reports the cap searched.
     """
     check_k_max(k_max)
     k_max = clamp_window_width(d.alphabet, default_k_max(d) if k_max is None else k_max)

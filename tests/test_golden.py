@@ -21,9 +21,14 @@ graph searches.  `verify-all-porcelain` and the `generate` cases of
 `witness-kk2.cg` and `witness-dyck.cg` (the `kk(2)` and `dyck` witnesses
 written out by `formats.render_grammar`) were recorded before the
 successor kernel began to build and check each step in place.
+`classify-regex-a_or_b_star_a19` was recorded while the SLT sweep still
+walked one window node per window string and re-proved each "yes" by
+construct-and-compare, before window nodes were keyed by their suffix
+images.
 """
 
 import os
+import time
 
 import pytest
 
@@ -113,3 +118,17 @@ def test_generate_step_cap_output_matches_golden(capsys):
         assert captured.out == fh.read()
     assert captured.err == "error: step cap exhausted after 3 expansions\n"
     assert code == 1
+
+
+def test_definite_sweep_to_the_window_space_matches_golden_quickly(capsys):
+    """`(a|b)*a^19` is definite, so its SLT sweep runs to the end of the
+    window space, k = 18, with a "no" at every k.  One node per window
+    string made it take about 2 s in process; nodes keyed by suffix images,
+    shared across k, take a small share of the 0.5 s allowed here."""
+    start = time.perf_counter()
+    code = main(["classify", "--porcelain", "--input", "regex:(a|b)*aaaaaaaaaaaaaaaaaaa"])
+    elapsed = time.perf_counter() - start
+    with open(os.path.join(GOLDEN, "classify-regex-a_or_b_star_a19.txt"), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 0
+    assert elapsed < 0.5, f"{elapsed:.2f} s"

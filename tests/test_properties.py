@@ -434,14 +434,44 @@ def test_canonical_rep_membership_routes_agree(d, k):
 UP_TO_9_STATES = st.one_of(*(dfas(9, Alphabet.of(symbols)) for symbols in ("a", "ab", "abc")))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(UP_TO_9_STATES, st.booleans(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(UP_TO_9_STATES, window_set_dfas()), st.booleans(), st.integers(1, 6))
 def test_slt_walk_agrees_with_construct_and_compare(d, minimal, k):
     """The witness-first walk gives the whole SltKResult (verdict,
     certificate, witness) of building the canonical window automaton and
-    comparing it with the input, on raw and minimal DFAs (|V|^k <= 729)."""
+    comparing it with the input, on raw and minimal DFAs (|V|^k <= 729)
+    and on minimal DFAs of window sets, whose many "yes" answers return
+    the canonical sets unchecked."""
     dfa = minimize(d) if minimal else d
     assert slt.is_slt_k(dfa, k) == slt_reference.is_slt_k(dfa, k)
+
+
+def twin(d: Dfa) -> Dfa:
+    """An equal DFA that shares no window analysis with d."""
+    return Dfa(d.alphabet, d.n_states, d.start, d.accepting, d.transitions, d.minimal)
+
+
+REGEX_DFAS = st.randoms(use_true_random=False).map(lambda rng: compile_regex(random_regex_ast(rng, 4), AB))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(UP_TO_9_STATES, window_set_dfas(), REGEX_DFAS), st.booleans(), st.integers(1, 6), st.data())
+def test_slt_sweep_agrees_with_construct_and_compare(d, minimal, k_max, data):
+    """`infer_slt` gives the whole InferSltResult of the construct-and-compare
+    route, whichever widths were asked about before on the same DFA: its
+    one window analysis serves every width and every call.  The sweep runs
+    on a fresh analysis, on the one that sweep left, and after single
+    calls at a drawn order of widths.  Regex languages add start states
+    that no letter enters, where the images of reach and reach+ differ."""
+    dfa = minimize(d) if minimal else d
+    with mock.patch.object(slt, "is_slt_k", slt_reference.is_slt_k):
+        expected = slt.infer_slt(twin(dfa), k_max)
+    assert slt.infer_slt(dfa, k_max) == expected
+    assert slt.infer_slt(dfa, k_max) == expected
+    later = twin(dfa)
+    for k in data.draw(st.permutations(range(1, k_max + 1))):
+        assert slt.is_slt_k(later, k) == slt_reference.is_slt_k(twin(dfa), k)
+    assert slt.infer_slt(later, k_max) == expected
 
 
 @SETTINGS
