@@ -8,6 +8,10 @@ with the input.  `minimize` is Moore's partition refinement with hashed
 signatures.  The library now walks the window automaton lazily against the
 input and minimizes by Hopcroft's refinement; these copies check that the
 verdicts, witnesses, certificates and automata stay the same.
+
+`definite_dfa` is the automaton of D_s u V*D_e built from an NFA by the
+subset construction, which `families.definite_to_slt` once compared its
+window sets with on every call; it is now that construction's oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from collections import deque
 from graph_reference import _renumber
 
 from sublang.automata import (
+    Alphabet,
     Dfa,
     InputError,
     MAX_WORD_SPACE,
+    Nfa,
     are_equivalent,
     reachable_states,
 )
@@ -141,3 +147,20 @@ def is_slt_k(d: Dfa, k: int) -> SltKResult:
     if eq.equal:
         return SltKResult(True, rep, None)
     return SltKResult(False, None, eq.witness)
+
+
+def definite_dfa(ds: frozenset[str], de: frozenset[str], alphabet: Alphabet) -> Dfa:
+    """The DFA of D_s u V*D_e: a root that reads the words of D_s, and a
+    loop on every letter, entered by an empty move, that reads those of D_e."""
+    nfa = Nfa(alphabet)
+    root = nfa.add_state()
+    nfa.starts.add(root)
+    loop = nfa.add_state()
+    nfa.add_edge(root, None, loop)
+    for a in alphabet:
+        nfa.add_edge(loop, a, loop)
+    for w in ds:
+        nfa.accepting.add(nfa.add_word(root, w))
+    for e in de:
+        nfa.accepting.add(nfa.add_word(loop, e))
+    return minimize(nfa.determinize())

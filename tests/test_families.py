@@ -180,27 +180,50 @@ def test_cover_search_stops_once_the_budget_is_spent():
     assert nodes == [-672_800]
 
 
+def ord_on_sample(monkeypatch, name):
+    """The minimal DFA of a window-set sample, its ORD verdict, and the
+    (length, labels, label trials) of each chain search that verdict ran."""
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", name)
+    dm = minimize(slt_to_dfa(parse_slt_file(path)))
+    searched = []
+
+    def recording(dm, length, nodes):
+        before = nodes[0]
+        labels = _find_monotone_cover(dm, length, nodes)
+        searched.append((length, labels, before - nodes[0]))
+        return labels
+
+    monkeypatch.setattr(families, "_find_monotone_cover", recording)
+    return dm, is_orderable(dm), searched
+
+
 def test_ord_on_the_prefix_suffix_sample_ends_with_budget_left(monkeypatch):
     """An orientation conflict settles length 8, and the position bound lets
     the search at length 9 end after an exact number of label trials; it
     ran out of its whole budget without the bound, spent 16,712 trials
-    with the bound but without the equal-neighbour prune, and 12,752 with
-    both but without the images of the unplaced labels in the bound."""
-    path = os.path.join(os.path.dirname(__file__), "..", "samples", "prefix-suffix-abc.slt")
-    dm = minimize(slt_to_dfa(parse_slt_file(path)))
+    with the bound but without the equal-neighbour prune, 12,752 with
+    both but without the images of the unplaced labels in the bound, and
+    3,280 without the bound's cross-letter term."""
+    dm, verdict, searched = ord_on_sample(monkeypatch, "prefix-suffix-abc.slt")
     assert dm.n_states == 8 and _orientation_conflict(dm)
-    searched = []
-
-    def recording(dm, length, nodes):
-        labels = _find_monotone_cover(dm, length, nodes)
-        searched.append((length, labels, nodes[0]))
-        return labels
-
-    monkeypatch.setattr(families, "_find_monotone_cover", recording)
-    assert is_orderable(dm) == Verdict(
+    assert verdict == Verdict(
         "unknown", bound=9, evidence="no ordered automaton with <= 9 states; minimal automaton unorderable"
     )
-    assert searched == [(9, None, _COVER_NODE_BUDGET - 3_280)]
+    assert searched == [(9, None, 1_232)]
+
+
+def test_ord_on_the_tail_sample_ends_with_budget_left(monkeypatch):
+    """A 6-state window-set language over abc whose ORD search was the
+    slowest of a classify-mix run: an orientation conflict settles length
+    6, and lengths 7, 8 and 9 end without a cover after 438, 2,460 and
+    10,932 label trials.  Without the position bound's cross-letter term
+    they took 918, 6,066 and 28,584."""
+    dm, verdict, searched = ord_on_sample(monkeypatch, "ord-tail-abc.slt")
+    assert dm.n_states == 6 and _orientation_conflict(dm)
+    assert verdict == Verdict(
+        "unknown", bound=9, evidence="no ordered automaton with <= 9 states; minimal automaton unorderable"
+    )
+    assert searched == [(7, None, 438), (8, None, 2_460), (9, None, 10_932)]
 
 
 def test_is_orderable_certificates_verify(corpus):

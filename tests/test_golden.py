@@ -11,7 +11,12 @@ the same verdict and bound: each read `search budget exhausted` before.
 For `regex:aababbb(b|a)b` an orientation conflict began to settle chain
 length n; for `prefix-suffix-abc.slt` the cover search's position bound
 let the search at length 9 end with budget left.  The budget accounting
-of that search is pinned by an exact trial count in `test_families.py`.
+of that search is pinned by an exact trial count in `test_families.py`,
+re-recorded when the bound gained the images of the unplaced labels and
+again when it gained its cross-letter term, each time with the same
+verdict.  `ord-tail-abc.slt`, the slowest ORD search of a classify-mix
+run, was recorded before the cross-letter term; its trial counts are
+pinned in `test_families.py` too.
 The grammar samples (`*.cg`) are not languages and have no classify report;
 their `generate` output was recorded before generation moved from a heap
 to length layers over one successor kernel.  The `enumerate`, `convert`

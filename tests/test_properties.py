@@ -241,14 +241,16 @@ def test_cover_search_agrees_with_reference_on_window_sets(dm):
     assert_cover_search_agrees(dm, (1000, 5000, 40000))
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.one_of(dfas(4, Alphabet.of("a")), dfas(4)))
+@settings(max_examples=900, deadline=None, derandomize=True)
+@given(st.one_of(dfas(4, Alphabet.of("a")), dfas(4), dfas(4, Alphabet.of("abc"))))
 def test_cover_search_finds_a_cover_exactly_when_one_exists(d):
     """An oracle that shares nothing with the search: every labeling of a
     chain of each length from n to 6 with no two equal neighbours, in
     lexicographic order, checked by `is_cover`.  With an unbounded budget
     the search returns the first of them that is a cover, or None when
-    none is; so no prune cuts a subtree that holds a cover."""
+    none is; so no prune cuts a subtree that holds a cover.  Three letters
+    let the cross-letter term of the position bound couple more letter
+    maps than two do."""
     n = d.n_states
     for length in range(n, 7):
         chains = itertools.product(range(n), repeat=length)
@@ -404,6 +406,26 @@ def test_random_rep_membership_agrees_with_compiled_dfa(rep):
     assert d == slt_reference.slt_to_dfa(rep)
     for w in brute_accepted(complement(d), 6) + enumerate_upto(d, 6):
         assert d.accepts(w) == slt_membership(rep, w), (rep, w)
+
+
+@st.composite
+def definite_word_sets(draw):
+    """An alphabet, ab or abc, and the sets D_s and D_e of words up to
+    length 3 over it."""
+    symbols = draw(st.sampled_from(["ab", "abc"]))
+    words = st.text(alphabet=symbols, max_size=3)
+    return Alphabet.of(symbols), draw(st.frozensets(words, max_size=4)), draw(st.frozensets(words, max_size=4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(definite_word_sets())
+def test_definite_windows_accept_the_definite_language(case):
+    """`definite_to_slt`'s window sets accept D_s u V*D_e, compared with
+    an automaton built from an NFA for that union by subset construction."""
+    alphabet, ds, de = case
+    rep = families.definite_to_slt(ds, de, alphabet)
+    assert rep.k == max(map(len, ds | de), default=0) + 1
+    assert are_equivalent(slt_to_dfa(rep), slt_reference.definite_dfa(ds, de, alphabet)).equal
 
 
 @SETTINGS

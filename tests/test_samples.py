@@ -40,6 +40,9 @@ def test_sample_three_letter_slt_file():
     rep = parse_slt_file(path("prefix-suffix-abc.slt"))
     regex = "cc|acc|ccc|(ac|ba|ca|cc)(a|b|c)*(b|c)c"
     assert are_equivalent(slt_to_dfa(rep), compile_regex(regex, Alphabet.of("abc"))).equal
+    rep = parse_slt_file(path("ord-tail-abc.slt"))
+    regex = "b|cb(a|b|c(a|b))*(c|_)"
+    assert are_equivalent(slt_to_dfa(rep), compile_regex(regex, Alphabet.of("abc"))).equal
 
 
 def test_sample_dfa_file():
